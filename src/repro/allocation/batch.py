@@ -24,7 +24,7 @@ randomized populations.  Floating-point results agree to ~1e-12 relative
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -80,6 +80,43 @@ class BatchEvaluation:
     def __len__(self) -> int:
         return self.genes.shape[0]
 
+    def take(self, rows: Sequence[int] | np.ndarray) -> "BatchEvaluation":
+        """The evaluation of a row subset, as an exact copy (no re-evaluation).
+
+        Every per-row array is indexed with ``rows``, so each selected row
+        keeps its objectives and diagnostics bit for bit.  (Evaluating the
+        same rows again as a differently sized batch is not guaranteed to
+        reproduce them: BLAS may sum in another order.)
+        """
+        index = np.asarray(rows, dtype=np.intp)
+        return replace(
+            self, **{name: getattr(self, name)[index] for name in _ROW_ARRAYS}
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["BatchEvaluation"]) -> "BatchEvaluation":
+        """The rows of several evaluations of one evaluator, stacked in order.
+
+        A single part is returned as is; several parts are copied into new
+        arrays.
+        """
+        if not parts:
+            raise AllocationError("concatenate needs at least one batch evaluation")
+        if len(parts) == 1:
+            return parts[0]
+        evaluator = parts[0].evaluator
+        if any(part.evaluator is not evaluator for part in parts):
+            raise AllocationError(
+                "cannot concatenate evaluations of different evaluators"
+            )
+        return cls(
+            evaluator=evaluator,
+            **{
+                name: np.concatenate([getattr(part, name) for part in parts])
+                for name in _ROW_ARRAYS
+            },
+        )
+
     @property
     def valid_count(self) -> int:
         """Number of valid rows."""
@@ -127,7 +164,7 @@ class BatchEvaluation:
         never needs them).
         """
         chromosome = self.chromosome(index)
-        counts = tuple(int(count) for count in self.wavelength_counts[index])
+        counts = tuple(self.wavelength_counts[index].tolist())
         if not bool(self.valid[index]):
             validity = self.evaluator.scalar.check_validity(chromosome)
             return AllocationSolution(
@@ -141,20 +178,24 @@ class BatchEvaluation:
             objectives=self.objectives(index),
             validity=ValidityReport(is_valid=True),
             wavelength_counts=counts,
-            per_communication_ber=tuple(
-                float(value) for value in self.per_communication_ber[index]
-            ),
+            per_communication_ber=tuple(self.per_communication_ber[index].tolist()),
             per_communication_energy_fj=tuple(
-                float(value) for value in self.per_communication_energy_fj[index]
+                self.per_communication_energy_fj[index].tolist()
             ),
             per_communication_duration_kcycles=tuple(
-                float(value) for value in self.per_communication_duration_kcycles[index]
+                self.per_communication_duration_kcycles[index].tolist()
             ),
         )
 
     def solutions(self) -> List[AllocationSolution]:
         """Every row materialised (convenience for small batches)."""
         return [self.solution(index) for index in range(len(self))]
+
+
+#: The per-row array fields of :class:`BatchEvaluation` (all but the evaluator).
+_ROW_ARRAYS = tuple(
+    field.name for field in fields(BatchEvaluation) if field.name != "evaluator"
+)
 
 
 class BatchEvaluator:

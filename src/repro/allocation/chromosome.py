@@ -40,25 +40,31 @@ class Chromosome:
     wavelength_count: int
 
     def __post_init__(self) -> None:
-        genes = tuple(int(gene) for gene in self.genes)
-        object.__setattr__(self, "genes", genes)
+        values = np.asarray(self.genes)
+        if values.ndim != 1 or values.dtype.kind not in "biu":
+            # Anything but a flat integer/boolean array goes through int(),
+            # which accepts (and rejects) exactly what it always has; an
+            # object array keeps out-of-range integers for the 0/1 check.
+            values = np.array([int(gene) for gene in self.genes], dtype=object)
         if self.communication_count < 1:
             raise AllocationError("a chromosome needs at least one communication")
         if self.wavelength_count < 1:
             raise AllocationError("a chromosome needs at least one wavelength")
         expected = self.communication_count * self.wavelength_count
-        if len(genes) != expected:
+        if values.size != expected:
             raise AllocationError(
                 f"expected {expected} genes "
                 f"({self.communication_count} communications x {self.wavelength_count} "
-                f"wavelengths), got {len(genes)}"
+                f"wavelengths), got {values.size}"
             )
-        if any(gene not in (0, 1) for gene in genes):
+        if not ((values == 0) | (values == 1)).all():
             raise AllocationError("genes must be 0 or 1")
-        array = np.asarray(genes, dtype=np.uint8).reshape(
+        # astype copies, so the chromosome never aliases the caller's buffer.
+        array = values.astype(np.uint8).reshape(
             self.communication_count, self.wavelength_count
         )
         array.setflags(write=False)
+        object.__setattr__(self, "genes", tuple(array.ravel().tolist()))
         object.__setattr__(self, "_array", array)
 
     # -------------------------------------------------------------- factories
@@ -68,7 +74,8 @@ class Chromosome:
     ) -> "Chromosome":
         """Build a chromosome from any flat sequence of 0/1 values."""
         return cls(
-            genes=tuple(int(gene) for gene in np.asarray(genes).ravel()),
+            # __post_init__ turns the array into a tuple of ints.
+            genes=np.asarray(genes).ravel(),  # type: ignore[arg-type]
             communication_count=communication_count,
             wavelength_count=wavelength_count,
         )
@@ -114,7 +121,9 @@ class Chromosome:
         """Build a chromosome from a binary NumPy array (flat or ``(Nl, NW)``).
 
         This is the bridge the batch engine uses to materialise individual
-        population rows back into first-class chromosomes.
+        population rows back into first-class chromosomes: the 0/1 and length
+        checks run on the array, and the genes become a tuple of Python
+        ``int`` through one ``tolist()``.
         """
         return cls.from_array(genes, communication_count, wavelength_count)
 

@@ -27,24 +27,41 @@ test-suite uses this to pin down batch/scalar determinism.
 
 The optimiser also keeps the run-wide books the paper reports in Table II:
 every *unique valid* chromosome ever evaluated, and the Pareto front across all
-of them.
+of them.  The batch engine keeps both as arrays: the valid rows stay row
+subsets of the :class:`~repro.allocation.batch.BatchEvaluation` that scored
+them, and the run-wide front holds row indices into those books.  Only the
+final front and the final population become
+:class:`~repro.allocation.objectives.AllocationSolution` objects when the run
+ends; :attr:`Nsga2Result.unique_valid_solutions` builds any other solution
+the first time it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from ..config import GeneticParameters
 from ..errors import AllocationError
 from ..telemetry import MetricsRegistry, Stopwatch, get_registry, span, timed_span
+from .batch import BatchEvaluation
 from .chromosome import Chromosome
 from .objectives import AllocationEvaluator, AllocationSolution, ObjectiveVector
 from .pareto import ParetoFront, crowding_distance, non_dominated_sort
 
-__all__ = ["GenerationRecord", "Nsga2Result", "Nsga2Optimizer"]
+__all__ = ["GenerationRecord", "LazySolutionMap", "Nsga2Result", "Nsga2Optimizer"]
 
 #: Evaluation engines accepted by :class:`Nsga2Optimizer`.
 _ENGINES = ("batch", "scalar")
@@ -82,6 +99,46 @@ class GenerationRecord:
     operator_seconds: float = 0.0
 
 
+class LazySolutionMap(Mapping[Tuple[int, ...], AllocationSolution]):
+    """Read-only gene-tuple -> solution map over the rows of one batch evaluation.
+
+    ``len()``, iteration and membership read the gene array only.  A value is
+    materialised through :meth:`BatchEvaluation.solution` the first time it is
+    read and cached, so every read of one row returns the same object.  The
+    rows are the exact arrays the engine computed: nothing is re-evaluated.
+    """
+
+    def __init__(self, rows: BatchEvaluation) -> None:
+        self._rows = rows
+        self._solutions: Dict[int, AllocationSolution] = {}
+        self._positions: Optional[Dict[Tuple[int, ...], int]] = None
+
+    def solution(self, row: int) -> AllocationSolution:
+        """The (cached) solution of one row; rows are in discovery order."""
+        solution = self._solutions.get(row)
+        if solution is None:
+            solution = self._solutions[row] = self._rows.solution(row)
+        return solution
+
+    def _index(self) -> Dict[Tuple[int, ...], int]:
+        if self._positions is None:
+            flat = self._rows.genes.reshape(len(self._rows), -1).tolist()
+            self._positions = {tuple(genes): row for row, genes in enumerate(flat)}
+        return self._positions
+
+    def __getitem__(self, key: Tuple[int, ...]) -> AllocationSolution:
+        return self.solution(self._index()[key])
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._index()
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        return iter(self._index())
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 @dataclass
 class Nsga2Result:
     """Outcome of one NSGA-II run."""
@@ -89,7 +146,9 @@ class Nsga2Result:
     objective_keys: Tuple[str, ...]
     final_population: List[AllocationSolution]
     pareto_front: ParetoFront[AllocationSolution]
-    unique_valid_solutions: Dict[Tuple[int, ...], AllocationSolution]
+    #: Every distinct valid chromosome of the run, keyed by its genes, in
+    #: discovery order (a :class:`LazySolutionMap` for the batch engine).
+    unique_valid_solutions: Mapping[Tuple[int, ...], AllocationSolution]
     history: List[GenerationRecord] = field(default_factory=list)
     evaluations: int = 0
     memo_hits: int = 0
@@ -132,13 +191,12 @@ class Nsga2Result:
         return item
 
 
-@dataclass(frozen=True)
-class _EvalRecord:
+class _EvalRecord(NamedTuple):
     """Memoised outcome of one unique chromosome."""
 
-    objectives: Tuple[float, float, float]
-    valid: bool
-    solution: Optional[AllocationSolution]
+    objectives: Tuple[float, ...]
+    #: Row of the valid-solution books, ``-1`` for an invalid chromosome.
+    book_row: int
 
 
 class Nsga2Optimizer:
@@ -191,6 +249,12 @@ class Nsga2Optimizer:
         self._batch = evaluator.batch()
         self._rng = np.random.default_rng(self._parameters.seed)
         self._memo: Dict[bytes, _EvalRecord] = {}
+        #: Valid-solution books, shared with the memo across runs: the batch
+        #: engine keeps row subsets of its evaluations, the scalar engine the
+        #: solutions themselves.  ``_book_size`` counts rows of either.
+        self._book_parts: List[BatchEvaluation] = []
+        self._book_solutions: List[AllocationSolution] = []
+        self._book_size = 0
         self._genome = evaluator.communication_count * evaluator.wavelength_count
         self._objective_columns = [ObjectiveVector.KEYS.index(key) for key in keys]
         #: Run-local metrics registry: evaluations, memo hits, and the
@@ -241,9 +305,11 @@ class Nsga2Optimizer:
         parameters = self._parameters
         self._metrics = MetricsRegistry()
         registry = self._metrics
-        unique_valid: Dict[Tuple[int, ...], AllocationSolution] = {}
-        front: ParetoFront[AllocationSolution] = ParetoFront()
+        # Front items are rows of the valid-solution books until the last
+        # generation materialises them.
+        front: ParetoFront[int] = ParetoFront()
         history: List[GenerationRecord] = []
+        book_start = self._book_size
 
         with span(
             "engine.run",
@@ -251,40 +317,37 @@ class Nsga2Optimizer:
             population=parameters.population_size,
             generations=parameters.generations,
         ), Stopwatch() as run_watch:
-            with span("engine.generation", generation=0), Stopwatch() as watch:
-                books = self._books()
-                population = self._initial_population_matrix()
-                objectives = self._evaluate_matrix(population, unique_valid, front)
-            registry.counter(GENERATIONS_METRIC).inc()
-            history.append(self._record(0, objectives, front, watch.elapsed, books))
-
-            for generation in range(1, parameters.generations + 1):
+            for generation in range(parameters.generations + 1):
                 with span(
                     "engine.generation", generation=generation
                 ), Stopwatch() as watch:
                     books = self._books()
-                    offspring = self._make_offspring(population, objectives)
-                    offspring_objectives = self._evaluate_matrix(
-                        offspring, unique_valid, front
-                    )
-                    combined = np.concatenate([population, offspring])
-                    combined_objectives = np.concatenate(
-                        [objectives, offspring_objectives]
-                    )
-                    selected = self._environmental_selection(combined_objectives)
-                    population = combined[selected]
-                    objectives = combined_objectives[selected]
+                    if generation == 0:
+                        population = self._initial_population_matrix()
+                        objectives = self._evaluate_matrix(population, front)
+                    else:
+                        offspring = self._make_offspring(population, objectives)
+                        offspring_objectives = self._evaluate_matrix(offspring, front)
+                        combined = np.concatenate([population, offspring])
+                        combined_objectives = np.concatenate(
+                            [objectives, offspring_objectives]
+                        )
+                        selected = self._environmental_selection(combined_objectives)
+                        population = combined[selected]
+                        objectives = combined_objectives[selected]
+                    if generation == parameters.generations:
+                        pareto_front, final_population, unique_valid = (
+                            self._materialize_books(front, population, book_start)
+                        )
                 registry.counter(GENERATIONS_METRIC).inc()
                 history.append(
                     self._record(generation, objectives, front, watch.elapsed, books)
                 )
 
-            final_population = [self._materialize(row) for row in population]
-
         result = Nsga2Result(
             objective_keys=self._objective_keys,
             final_population=final_population,
-            pareto_front=front,
+            pareto_front=pareto_front,
             unique_valid_solutions=unique_valid,
             history=history,
             evaluations=int(registry.counter_value(EVALUATIONS_METRIC)),
@@ -334,19 +397,15 @@ class Nsga2Optimizer:
         return np.ascontiguousarray(matrix, dtype=np.uint8)
 
     def _evaluate_matrix(
-        self,
-        matrix: np.ndarray,
-        unique_valid: Dict[Tuple[int, ...], AllocationSolution],
-        front: ParetoFront[AllocationSolution],
+        self, matrix: np.ndarray, front: ParetoFront[int]
     ) -> np.ndarray:
         """Evaluate a population matrix with memoisation and book-keeping.
 
         Returns the full three-objective matrix (``inf`` rows for invalid
-        chromosomes).  Newly discovered valid chromosomes are materialised once
-        and absorbed into the run-wide books; the batch engine feeds them to
-        the run-wide Pareto front in one batched
-        :meth:`~repro.allocation.pareto.ParetoFront.extend_array` call per
-        generation, the scalar engine adds them one by one (the oracle path).
+        chromosomes).  Newly discovered valid chromosomes join the run-wide
+        books and their book rows the run-wide Pareto front: the batch engine
+        in one batched :meth:`~repro.allocation.pareto.ParetoFront.extend_array`
+        call per generation, the scalar engine one by one (the oracle path).
         """
         registry = self._metrics
         with timed_span(
@@ -355,94 +414,154 @@ class Nsga2Optimizer:
             registry=registry,
             phase="evaluation",
         ):
-            keys = [row.tobytes() for row in matrix]
-            fresh: Dict[bytes, int] = {}
-            hits = 0
-            for index, key in enumerate(keys):
-                if key in self._memo or key in fresh:
-                    hits += 1
-                else:
-                    fresh[key] = index
+            with span("engine.evaluation.memo"):
+                keys = [row.tobytes() for row in matrix]
+                fresh: Dict[bytes, int] = {}
+                hits = 0
+                for index, key in enumerate(keys):
+                    if key in self._memo or key in fresh:
+                        hits += 1
+                    else:
+                        fresh[key] = index
             if hits:
                 registry.counter(MEMO_HITS_METRIC).inc(hits)
 
-            newcomers: List[AllocationSolution] = []
+            new_objectives: Sequence[Sequence[float]] = []
+            new_rows: List[int] = []
             if fresh:
                 registry.counter(EVALUATIONS_METRIC).inc(len(fresh))
-                fresh_indices = list(fresh.values())
+                rows = matrix[list(fresh.values())]
                 if self._engine == "batch":
-                    evaluation = self._batch.evaluate_population(matrix[fresh_indices])
-                    for position, key in enumerate(fresh):
-                        valid = bool(evaluation.valid[position])
-                        solution = evaluation.solution(position) if valid else None
-                        record = _EvalRecord(
-                            objectives=(
-                                float(evaluation.execution_time_kcycles[position]),
-                                float(evaluation.mean_bit_error_rate[position]),
-                                float(evaluation.bit_energy_fj[position]),
-                            ),
-                            valid=valid,
-                            solution=solution,
-                        )
-                        self._store(key, record, unique_valid, newcomers)
+                    new_objectives, new_rows = self._evaluate_batch(list(fresh), rows)
                 else:
-                    nl = self._evaluator.communication_count
-                    nw = self._evaluator.wavelength_count
-                    for key, index in fresh.items():
-                        solution = self._evaluator.evaluate(
-                            Chromosome.from_numpy(matrix[index], nl, nw)
-                        )
-                        record = _EvalRecord(
-                            objectives=solution.objectives.as_tuple(),
-                            valid=solution.is_valid,
-                            solution=solution if solution.is_valid else None,
-                        )
-                        self._store(key, record, unique_valid, newcomers)
+                    new_objectives, new_rows = self._evaluate_scalar(list(fresh), rows)
 
-            objectives = np.empty((matrix.shape[0], 3))
-            for index, key in enumerate(keys):
-                objectives[index] = self._memo[key].objectives
+            with span("engine.evaluation.memo"):
+                objectives = np.array(
+                    [self._memo[key].objectives for key in keys], dtype=float
+                ).reshape(len(keys), 3)
 
-        if newcomers:
+        if new_rows:
             with timed_span(
                 "engine.selection",
                 metric=PHASE_METRIC,
                 registry=registry,
                 phase="selection",
-            ):
-                pairs = [
-                    (solution, solution.objective_tuple(self._objective_keys))
-                    for solution in newcomers
-                ]
+            ), span("engine.selection.front"):
                 if self._engine == "batch":
-                    front.extend_array(
-                        np.asarray([objective for _, objective in pairs], dtype=float),
-                        [solution for solution, _ in pairs],
-                    )
+                    front.extend_array(new_objectives, new_rows)
                 else:
-                    for solution, objective in pairs:
-                        front.add(solution, objective)
+                    for row, objective in zip(new_rows, new_objectives):
+                        front.add(row, objective)
         return objectives
 
-    def _store(
-        self,
-        key: bytes,
-        record: _EvalRecord,
-        unique_valid: Dict[Tuple[int, ...], AllocationSolution],
-        newcomers: List[AllocationSolution],
-    ) -> None:
-        self._memo[key] = record
-        if record.valid and record.solution is not None:
-            genes = record.solution.chromosome.genes
-            if genes not in unique_valid:
-                unique_valid[genes] = record.solution
-                newcomers.append(record.solution)
+    def _evaluate_batch(
+        self, keys: List[bytes], rows: np.ndarray
+    ) -> Tuple[np.ndarray, List[int]]:
+        """Score fresh rows in one batch; book the valid ones as an array subset.
 
-    def _materialize(self, row: np.ndarray) -> AllocationSolution:
+        Returns the optimised-key objective rows and book rows of the newly
+        valid chromosomes.
+        """
+        with span("engine.evaluation.kernel", rows=len(keys)):
+            evaluation = self._batch.evaluate_population(rows)
+        with span("engine.evaluation.books"):
+            valid = np.flatnonzero(evaluation.valid)
+            book_rows = np.full(len(keys), -1)
+            book_rows[valid] = np.arange(self._book_size, self._book_size + valid.size)
+            self._book_parts.append(evaluation.take(valid))
+            self._book_size += int(valid.size)
+            for key, objective, row in zip(
+                keys, evaluation.objective_matrix().tolist(), book_rows.tolist()
+            ):
+                self._memo[key] = _EvalRecord(tuple(objective), row)
+            keyed = evaluation.objective_matrix(self._objective_keys)[valid]
+        return keyed, book_rows[valid].tolist()
+
+    def _evaluate_scalar(
+        self, keys: List[bytes], rows: np.ndarray
+    ) -> Tuple[List[Tuple[float, ...]], List[int]]:
+        """Score fresh rows one by one through the scalar reference evaluator."""
+        nl = self._evaluator.communication_count
+        nw = self._evaluator.wavelength_count
+        new_objectives: List[Tuple[float, ...]] = []
+        new_rows: List[int] = []
+        with span("engine.evaluation.kernel", rows=len(keys)):
+            for key, genes in zip(keys, rows):
+                chromosome = Chromosome.from_numpy(genes, nl, nw)
+                solution = self._evaluator.evaluate(chromosome)
+                row = -1
+                if solution.is_valid:
+                    row = self._book_size
+                    self._book_solutions.append(solution)
+                    self._book_size += 1
+                    new_objectives.append(
+                        solution.objective_tuple(self._objective_keys)
+                    )
+                    new_rows.append(row)
+                self._memo[key] = _EvalRecord(solution.objectives.as_tuple(), row)
+        return new_objectives, new_rows
+
+    def _materialize_books(
+        self, front: ParetoFront[int], population: np.ndarray, book_start: int
+    ) -> Tuple[
+        ParetoFront[AllocationSolution],
+        List[AllocationSolution],
+        Mapping[Tuple[int, ...], AllocationSolution],
+    ]:
+        """Solutions of the final front and population, and the run's valid books.
+
+        Runs inside the evaluation phase of the last generation.  Only the
+        front and the population are materialised here; the batch engine's
+        ``unique_valid_solutions`` builds any other row when it is first read.
+        """
+        with timed_span(
+            "engine.evaluation",
+            metric=PHASE_METRIC,
+            registry=self._metrics,
+            phase="evaluation",
+        ), span("engine.evaluation.books"):
+            unique_valid: Mapping[Tuple[int, ...], AllocationSolution]
+            solution_at: Callable[[int], AllocationSolution]
+            if self._engine == "batch":
+                book = BatchEvaluation.concatenate(self._book_parts)
+                self._book_parts = [book]
+                if book_start:
+                    book_rows = book.take(np.arange(book_start, len(book)))
+                else:
+                    book_rows = book
+                lazy = LazySolutionMap(book_rows)
+
+                def solution_at(row: int) -> AllocationSolution:
+                    # Rows booked by an earlier run() of this optimiser are
+                    # outside this run's map.
+                    if row >= book_start:
+                        return lazy.solution(row - book_start)
+                    return book.solution(row)
+
+                unique_valid = lazy
+            else:
+                solution_at = self._book_solutions.__getitem__
+                unique_valid = {
+                    solution.chromosome.genes: solution
+                    for solution in self._book_solutions[book_start:]
+                }
+            pareto_front: ParetoFront[AllocationSolution] = ParetoFront(
+                items=[solution_at(row) for row in front.items],
+                objectives=list(front.objectives),
+            )
+            final_population = [
+                self._materialize(row, solution_at) for row in population
+            ]
+        return pareto_front, final_population, unique_valid
+
+    def _materialize(
+        self, row: np.ndarray, solution_at: Callable[[int], AllocationSolution]
+    ) -> AllocationSolution:
         """Full :class:`AllocationSolution` of one (already evaluated) row."""
         record = self._memo[row.tobytes()]
-        if record.solution is not None:
-            return record.solution
+        if record.book_row >= 0:
+            return solution_at(record.book_row)
         chromosome = Chromosome.from_numpy(
             row, self._evaluator.communication_count, self._evaluator.wavelength_count
         )
@@ -472,15 +591,17 @@ class Nsga2Optimizer:
             phase="selection",
         ):
             keyed = self._keyed(objectives)
-            fronts = non_dominated_sort(keyed, engine=self._kernel_engine)
+            with span("engine.selection.sort", rows=len(keyed)):
+                fronts = non_dominated_sort(keyed, engine=self._kernel_engine)
             rank = np.zeros(len(keyed), dtype=int)
             distance = np.zeros(len(keyed))
-            for front_position, front_indices in enumerate(fronts):
-                indices = np.asarray(front_indices, dtype=int)
-                rank[indices] = front_position
-                distance[indices] = crowding_distance(
-                    keyed[indices], engine=self._kernel_engine
-                )
+            with span("engine.selection.crowding", fronts=len(fronts)):
+                for front_position, front_indices in enumerate(fronts):
+                    indices = np.asarray(front_indices, dtype=int)
+                    rank[indices] = front_position
+                    distance[indices] = crowding_distance(
+                        keyed[indices], engine=self._kernel_engine
+                    )
         return rank, distance
 
     def _environmental_selection(self, objectives: np.ndarray) -> np.ndarray:
@@ -493,7 +614,8 @@ class Nsga2Optimizer:
         ):
             target = self._parameters.population_size
             keyed = self._keyed(objectives)
-            fronts = non_dominated_sort(keyed, engine=self._kernel_engine)
+            with span("engine.selection.sort", rows=len(keyed)):
+                fronts = non_dominated_sort(keyed, engine=self._kernel_engine)
             selected: List[int] = []
             for front_indices in fronts:
                 if len(selected) + len(front_indices) <= target:
@@ -502,10 +624,11 @@ class Nsga2Optimizer:
                 remaining = target - len(selected)
                 if remaining <= 0:
                     break
-                distances = crowding_distance(
-                    keyed[np.asarray(front_indices, dtype=int)],
-                    engine=self._kernel_engine,
-                )
+                with span("engine.selection.crowding", fronts=1):
+                    distances = crowding_distance(
+                        keyed[np.asarray(front_indices, dtype=int)],
+                        engine=self._kernel_engine,
+                    )
                 order = np.argsort(-distances, kind="stable")
                 selected.extend(
                     front_indices[position] for position in order[:remaining]

@@ -22,8 +22,9 @@ implementations:
   summation order of the crowding distances.
 * **Vectorized kernels** — :func:`non_dominated_sort_numpy` /
   :func:`crowding_distance_numpy` compute the same results through NumPy
-  broadcasts (one pairwise ``<=``/``<`` domination matrix, iterative front
-  peeling; per-objective ``argsort`` + neighbour-gap ``diff``).  They are
+  array operations (one pairwise ``<=`` mask accumulated objective by
+  objective, iterative front peeling; per-objective ``argsort`` +
+  neighbour-gap ``diff``).  They are
   constructed to reproduce the oracle bit for bit — identical front index
   order, distances to 0 ulp — and the randomized equivalence suite in
   ``tests/test_selection_kernels.py`` pins that down.
@@ -60,8 +61,8 @@ _KERNEL_ENGINES = ("vectorized", "python")
 #: Finite stand-in for infinite objectives inside the crowding computation.
 _INF_CLAMP = 1.0e300
 
-#: Candidates per internal broadcast chunk of :meth:`ParetoFront.extend_array`
-#: (bounds the ``O(chunk² · M)`` comparison tensors however large the batch is).
+#: Candidates per internal chunk of :meth:`ParetoFront.extend_array` (bounds
+#: the ``O(chunk²)`` comparison masks however large the batch is).
 _EXTEND_CHUNK = 1024
 
 
@@ -103,10 +104,24 @@ def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
     matrix = np.asarray(objectives, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("the objective matrix must be two-dimensional")
-    # One (N, N, M) comparison suffices: with no_worse[p, q] = all(p <= q),
-    # "p strictly beats q somewhere" is exactly ~no_worse[q, p].
-    no_worse = (matrix[:, None, :] <= matrix[None, :, :]).all(axis=-1)
+    # With no_worse[p, q] = all(p <= q), "p strictly beats q somewhere" is
+    # exactly ~no_worse[q, p].
+    no_worse = _no_worse(matrix, matrix)
     return no_worse & ~no_worse.T
+
+
+def _no_worse(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``result[p, q]``: row ``p`` of ``first`` is ``<=`` row ``q`` of ``second``
+    in every objective.
+
+    Accumulated one objective column at a time into a single ``(P, Q)`` mask,
+    which never materialises the ``(P, Q, M)`` comparison tensor; with no
+    columns every pair is vacuously no worse.
+    """
+    result = np.ones((first.shape[0], second.shape[0]), dtype=bool)
+    for column in range(first.shape[1]):
+        result &= first[:, column, None] <= second[None, :, column]
+    return result
 
 
 def non_dominated_sort(
@@ -180,11 +195,12 @@ def non_dominated_sort_python(
 def non_dominated_sort_numpy(objectives: np.ndarray) -> List[List[int]]:
     """Vectorized non-dominated sort over an ``(N, M)`` objective matrix.
 
-    One broadcast builds the full domination matrix, then fronts are peeled
-    iteratively: the solutions whose remaining domination count reaches zero
-    form the next front.  The emitted index order reproduces Deb's book-keeping
-    exactly — the oracle appends a solution the moment its *last* dominator in
-    the current front is processed, so each peeled front is ordered by
+    :func:`dominance_matrix` builds the full domination matrix, then fronts
+    are peeled iteratively: the solutions whose remaining domination count
+    reaches zero form the next front.  The emitted index order reproduces
+    Deb's book-keeping exactly — the oracle appends a solution the moment its
+    *last* dominator in the current front is processed, so each peeled front
+    is ordered by
     ``(position of that last dominator within the current front, index)``.
     """
     matrix = np.asarray(objectives, dtype=float)
@@ -326,12 +342,12 @@ class ParetoFront(Generic[T]):
     def extend_array(
         self, objectives_matrix: Sequence[Sequence[float]], items: Sequence[T]
     ) -> int:
-        """Batched insertion: dominance against the front in one broadcast.
+        """Batched insertion: dominance against the front as whole-matrix masks.
 
         Equivalent to calling :meth:`add` for every ``(item, row)`` pair in
         order — the resulting front holds the same items in the same order —
         but the candidate-vs-front and candidate-vs-candidate comparisons run
-        as whole-matrix broadcasts instead of per-item rescans.  Because Pareto
+        as whole-matrix masks instead of per-item rescans.  Because Pareto
         dominance is transitive, a candidate survives the sequential insertion
         exactly when no front member dominates or equals it, no other candidate
         dominates it, and no *earlier* candidate equals it; evicted front
@@ -368,12 +384,12 @@ class ParetoFront(Generic[T]):
             # front_le[e, c]: front member e is no worse than candidate c in
             # every objective — i.e. e dominates *or equals* c, the exact
             # rejection condition of a sequential :meth:`add`.
-            front_le = (existing[:, None, :] <= candidates[None, :, :]).all(axis=-1)
+            front_le = _no_worse(existing, candidates)
             rejected |= front_le.any(axis=0)
         # cand_le[p, q]: candidate p no worse than candidate q everywhere.
         # p dominates q iff cand_le[p, q] and not cand_le[q, p]; p equals q
         # iff both hold.
-        cand_le = (candidates[:, None, :] <= candidates[None, :, :]).all(axis=-1)
+        cand_le = _no_worse(candidates, candidates)
         rejected |= (cand_le & ~cand_le.T).any(axis=0)  # dominated by another candidate
         equal = cand_le & cand_le.T
         rejected |= np.triu(equal, 1).any(axis=0)  # duplicate of an earlier candidate
@@ -383,7 +399,7 @@ class ParetoFront(Generic[T]):
         if self.objectives:
             # Winner w dominates front member e iff e >= w everywhere
             # (front_ge) without e <= w everywhere (front_le).
-            front_ge = (existing[:, None, :] >= candidates[None, accepted, :]).all(axis=-1)
+            front_ge = _no_worse(candidates[accepted], existing).T
             evicted = (front_ge & ~front_le[:, accepted]).any(axis=1)
             if evicted.any():
                 survivors = np.flatnonzero(~evicted)

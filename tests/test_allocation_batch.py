@@ -12,7 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.allocation import AllocationEvaluator, BatchEvaluator, Chromosome
+from repro.allocation import (
+    AllocationEvaluator,
+    BatchEvaluation,
+    BatchEvaluator,
+    Chromosome,
+)
 from repro.allocation.exhaustive import (
     enumerate_chromosomes,
     exhaustive_pareto_front,
@@ -266,6 +271,63 @@ class TestBatchApi:
         chromosome = evaluator.random_chromosome(rng)
         evaluation = evaluator.batch().evaluate_chromosomes([chromosome])
         assert evaluation.gene_bytes(0) == chromosome.gene_bytes
+
+
+class TestRowTakeAndConcatenate:
+    """Row subsets are exact copies: the GA's books never re-evaluate a row."""
+
+    ROW_ARRAYS = (
+        "genes",
+        "wavelength_counts",
+        "valid",
+        "execution_time_kcycles",
+        "mean_bit_error_rate",
+        "bit_energy_fj",
+        "per_communication_ber",
+        "per_communication_energy_fj",
+        "per_communication_duration_kcycles",
+    )
+
+    @pytest.fixture
+    def evaluation(self, evaluator):
+        batch = evaluator.batch()
+        return batch.evaluate_population(
+            batch.random_population(24, np.random.default_rng(9), 0.3)
+        )
+
+    def test_take_copies_rows_bit_for_bit(self, evaluation):
+        rows = [5, 0, 17, 5]
+        subset = evaluation.take(rows)
+        assert len(subset) == 4 and subset.evaluator is evaluation.evaluator
+        for name in self.ROW_ARRAYS:
+            assert np.array_equal(getattr(subset, name), getattr(evaluation, name)[rows])
+        assert subset.solution(1) == evaluation.solution(0)
+
+    def test_take_does_not_alias_the_source(self, evaluation):
+        subset = evaluation.take([0, 1])
+        subset.execution_time_kcycles[0] = -1.0
+        assert evaluation.execution_time_kcycles[0] != -1.0
+
+    def test_concatenate_reassembles_the_batch(self, evaluation):
+        valid = np.flatnonzero(evaluation.valid)
+        invalid = np.flatnonzero(~evaluation.valid)
+        merged = BatchEvaluation.concatenate(
+            [evaluation.take(valid), evaluation.take([]), evaluation.take(invalid)]
+        )
+        order = np.concatenate([valid, invalid])
+        for name in self.ROW_ARRAYS:
+            assert np.array_equal(
+                getattr(merged, name), getattr(evaluation, name)[order]
+            )
+        assert BatchEvaluation.concatenate([evaluation]) is evaluation
+
+    def test_concatenate_rejects_empty_and_mixed_evaluators(self, evaluation):
+        with pytest.raises(AllocationError):
+            BatchEvaluation.concatenate([])
+        other = _paper_evaluator(8).batch()
+        foreign = other.evaluate_population(evaluation.genes[:2])
+        with pytest.raises(AllocationError):
+            BatchEvaluation.concatenate([evaluation, foreign])
 
 
 class TestBatchedEnumeration:

@@ -12,7 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.allocation import AllocationEvaluator, Nsga2Optimizer
+from repro.allocation import (
+    AllocationEvaluator,
+    BatchEvaluation,
+    BatchEvaluator,
+    Nsga2Optimizer,
+)
 from repro.application import paper_mapping, paper_task_graph
 from repro.config import GeneticParameters
 from repro.errors import AllocationError
@@ -73,6 +78,115 @@ class TestGoldenDeterminism:
     def test_unknown_engine_rejected(self, paper_evaluator):
         with pytest.raises(AllocationError):
             Nsga2Optimizer(paper_evaluator, engine="quantum")
+
+
+class TestArrayBooks:
+    """The batch engine books valid rows as arrays and materialises on demand."""
+
+    @pytest.fixture
+    def counted_solution(self, monkeypatch):
+        """Count :meth:`BatchEvaluation.solution` calls (``calls[0]``)."""
+        calls = [0]
+        original = BatchEvaluation.solution
+
+        def counting(evaluation, index):
+            calls[0] += 1
+            return original(evaluation, index)
+
+        monkeypatch.setattr(BatchEvaluation, "solution", counting)
+        return calls
+
+    def test_run_materialises_only_front_and_population(
+        self, paper_evaluator, counted_solution
+    ):
+        parameters = GeneticParameters.smoke_test(seed=42)
+        result = Nsga2Optimizer(paper_evaluator, parameters).run()
+        during_run = counted_solution[0]
+        assert 0 < during_run <= len(result.pareto_front) + parameters.population_size
+        assert during_run < result.valid_solution_count
+        # Values are built on first read, once each.
+        values = list(result.unique_valid_solutions.values())
+        assert len(values) == result.valid_solution_count
+        assert counted_solution[0] <= during_run + len(values)
+        assert list(result.unique_valid_solutions.values()) == values
+        assert all(
+            again is first
+            for again, first in zip(result.unique_valid_solutions.values(), values)
+        )
+
+    def test_front_solutions_carry_their_front_rows_exactly(self, paper_evaluator):
+        keys = ("time", "energy")
+        result = Nsga2Optimizer(
+            paper_evaluator, GeneticParameters.smoke_test(seed=42), objective_keys=keys
+        ).run()
+        assert len(result.pareto_front) > 0
+        for solution, objective in result.pareto_front:
+            assert solution.objective_tuple(keys) == objective
+            # Front members are the very objects the run-wide map serves.
+            assert result.unique_valid_solutions[solution.chromosome.genes] is solution
+
+    def test_books_match_the_scalar_engine(self, paper_evaluator):
+        parameters = GeneticParameters.smoke_test(seed=42)
+        batch = Nsga2Optimizer(paper_evaluator, parameters, engine="batch").run()
+        scalar = Nsga2Optimizer(paper_evaluator, parameters, engine="scalar").run()
+        assert len(batch.unique_valid_solutions) == len(scalar.unique_valid_solutions)
+        assert list(batch.unique_valid_solutions) == list(scalar.unique_valid_solutions)
+        for key, solution in batch.unique_valid_solutions.items():
+            reference = scalar.unique_valid_solutions[key]
+            assert solution.chromosome == reference.chromosome
+            assert solution.wavelength_counts == reference.wavelength_counts
+            assert np.allclose(
+                solution.objectives.as_tuple(),
+                reference.objectives.as_tuple(),
+                rtol=1e-9,
+            )
+
+    def test_reading_values_after_run_evaluates_nothing(
+        self, paper_evaluator, monkeypatch
+    ):
+        result = Nsga2Optimizer(
+            paper_evaluator, GeneticParameters.smoke_test(seed=42)
+        ).run()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("materialising a booked row re-evaluated it")
+
+        monkeypatch.setattr(BatchEvaluator, "evaluate_population", forbidden)
+        monkeypatch.setattr(AllocationEvaluator, "evaluate", forbidden)
+        monkeypatch.setattr(AllocationEvaluator, "check_validity", forbidden)
+        books = result.unique_valid_solutions
+        for key, solution in books.items():
+            assert solution.chromosome.genes == key
+            assert solution.is_valid
+        assert next(iter(books)) in books and (0,) not in books
+        with pytest.raises(KeyError):
+            books[(0,)]
+        with pytest.raises(TypeError):
+            books[next(iter(books))] = None  # read-only
+
+    def test_second_run_books_only_its_own_discoveries(self, paper_evaluator):
+        """The memo spans runs of one optimiser; each run's books do not."""
+        parameters = GeneticParameters(population_size=12, generations=3, seed=4)
+        runs = {}
+        for engine in ("batch", "scalar"):
+            optimizer = Nsga2Optimizer(paper_evaluator, parameters, engine=engine)
+            runs[engine] = (optimizer.run(), optimizer.run())
+        (batch_first, batch_second), (scalar_first, scalar_second) = (
+            runs["batch"],
+            runs["scalar"],
+        )
+        assert not set(batch_first.unique_valid_solutions) & set(
+            batch_second.unique_valid_solutions
+        )
+        assert list(batch_second.unique_valid_solutions) == list(
+            scalar_second.unique_valid_solutions
+        )
+        assert [s.chromosome for s in batch_second.final_population] == [
+            s.chromosome for s in scalar_second.final_population
+        ]
+        assert [s.is_valid for s in batch_second.final_population] == [
+            s.is_valid for s in scalar_second.final_population
+        ]
 
 
 class TestTelemetry:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.allocation import (
     AllocationEvaluator,
@@ -49,7 +51,45 @@ def random_objective_matrix(
     return matrix
 
 
+@st.composite
+def tied_objective_matrices(draw, max_rows: int = 14) -> np.ndarray:
+    """``(N, M)`` matrices, M in 1..3, whose rows repeat, tie and go infinite.
+
+    Rows are drawn with replacement from a small pool of vectors built from a
+    handful of shared values (per-objective ties), ``inf`` and an all-``inf``
+    row (invalid chromosomes), so duplicate rows are common.
+    """
+    objectives = draw(st.integers(1, 3))
+    count = draw(st.integers(0, max_rows))
+    value = st.one_of(
+        st.sampled_from([0.0, 1.0, 2.5, np.inf]),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    vector = st.one_of(
+        st.tuples(*[value] * objectives), st.just((np.inf,) * objectives)
+    )
+    pool = draw(st.lists(vector, min_size=1, max_size=max(count, 1)))
+    picks = draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=count, max_size=count)
+    )
+    return np.asarray([pool[pick] for pick in picks], dtype=float).reshape(
+        count, objectives
+    )
+
+
 class TestDominanceMatrix:
+    @given(tied_objective_matrices())
+    def test_property_equals_pairwise_dominates_oracle(self, matrix):
+        table = dominance_matrix(matrix)
+        count = len(matrix)
+        assert table.shape == (count, count) and table.dtype == bool
+        rows = [tuple(row) for row in matrix]
+        expected = [[dominates(p, q) for q in rows] for p in rows]
+        assert table.tolist() == expected
+
+    def test_zero_objectives_dominate_nothing(self):
+        assert not dominance_matrix(np.zeros((3, 0))).any()
+
     def test_matches_pairwise_dominates(self):
         rng = np.random.default_rng(3)
         matrix = random_objective_matrix(rng, 25, 3)
@@ -145,6 +185,17 @@ class TestFrontBatchedExtend:
             batched.extend_array(matrix, list(range(count)))
             assert batched.items == expected.items
             assert batched.objectives == expected.objectives
+
+    @given(tied_objective_matrices(max_rows=24), st.integers(0, 24))
+    def test_property_matches_sequential_adds(self, matrix, split):
+        """Two batches (the second against a populated front) == one add per row."""
+        expected = self.sequential(matrix)
+        batched: ParetoFront[int] = ParetoFront()
+        split = min(split, len(matrix))
+        batched.extend_array(matrix[:split], list(range(split)))
+        batched.extend_array(matrix[split:], list(range(split, len(matrix))))
+        assert batched.items == expected.items
+        assert batched.objectives == expected.objectives
 
     def test_incremental_batches_against_populated_front(self):
         rng = np.random.default_rng(11)

@@ -246,6 +246,32 @@ class TestPhaseAgreement:
             result.operator_seconds, rel=1e-9
         )
 
+    def test_phase_child_spans_nest_inside_their_phase(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        configure_tracing(str(path))
+        result = execute_scenario(smoke_scenario()).summary()
+        reset_tracing()
+        records = load_trace(str(path))
+        by_id = {record["span"]: record for record in records}
+        children = {
+            "engine.evaluation": ("memo", "kernel", "books"),
+            "engine.selection": ("sort", "crowding", "front"),
+        }
+        for phase, parts in children.items():
+            phase_total = sum(r["duration"] for r in records if r["name"] == phase)
+            child_total = 0.0
+            for part in parts:
+                spans = [r for r in records if r["name"] == f"{phase}.{part}"]
+                assert spans, f"no {phase}.{part} span"
+                assert {by_id[r["parent"]]["name"] for r in spans} == {phase}
+                child_total += sum(r["duration"] for r in spans)
+            assert child_total <= phase_total
+        # The children carry distinct names, so exact-name phase totals still
+        # equal the reported phase seconds.
+        assert sum(
+            r["duration"] for r in records if r["name"] == "engine.evaluation"
+        ) == pytest.approx(result.evaluation_seconds, rel=1e-9)
+
     def test_engine_counters_match_result_document(self):
         outcome = execute_scenario(smoke_scenario())
         result = outcome.summary()
