@@ -11,6 +11,7 @@ strategy ordering of the documented default sweep.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +296,39 @@ class TestDynamicTrafficSimulator:
         assert report.blocking_probability == pytest.approx(
             erlang_b(offered, servers), abs=0.03
         )
+
+
+#: Full ``to_dict()`` of every point of :func:`golden_sweep`, one JSON object
+#: per line in sweep order, pinned from the engine-driven simulator.  The
+#: values must never be regenerated: any optimisation of the simulator has to
+#: reproduce them byte for byte.
+GOLDEN_SWEEP = Path(__file__).resolve().parent / "data" / "traffic_golden_sweep.jsonl"
+GOLDEN_TOPOLOGIES = ("ring", "multi_ring", "crossbar")
+
+
+def golden_sweep(topology):
+    """NW 1/4/16 x loads 2 (low blocking) and 24 Erlang (high) x all strategies."""
+    return sweep_blocking(
+        topology,
+        4,
+        4,
+        wavelength_counts=(1, 4, 16),
+        loads=(2.0, 24.0),
+        request_count=300,
+        seed=11,
+    )
+
+
+def test_golden_sweep_reports_are_byte_identical():
+    expected = GOLDEN_SWEEP.read_text(encoding="utf-8").splitlines()
+    actual = [
+        json.dumps(report.to_dict(), sort_keys=True)
+        for topology in GOLDEN_TOPOLOGIES
+        for report in golden_sweep(topology)
+    ]
+    assert len(actual) == len(expected) == 72
+    for point, (line, pinned) in enumerate(zip(actual, expected)):
+        assert line == pinned, f"sweep point {point} drifted"
 
 
 class TestAnalyticalHelpers:
