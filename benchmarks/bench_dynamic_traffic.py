@@ -3,9 +3,9 @@
 Two measurements of :class:`~repro.traffic.DynamicTrafficSimulator`:
 
 * **Throughput** — a 20 000-request Poisson stream on the paper's 4x4 ring
-  with 4 wavelengths, reported as events/second.  The engine's hot loop must
-  stay O(log n) per event (the ``EventQueue.__bool__`` fast path), so the
-  check enforces a conservative floor.
+  with 4 wavelengths, reported as events/second.  The simulator's loop must
+  stay O(log n) per event (one heap push and pop per admitted request), so
+  the check enforces a conservative floor.
 * **Erlang-B agreement** — the same simulator pinned to a single
   source-destination pair is an M/M/NW/NW loss system, so its blocking
   probability must match the Erlang-B formula.  The check bounds the
@@ -33,10 +33,10 @@ from repro.traffic import (
     erlang_b,
 )
 
-#: Minimum events/second the smoke check enforces.  The fixed engine runs at
-#: tens of thousands of events/second; the quadratic regression this guards
-#: against ran at ~1 300, so the floor separates the two regimes with a wide
-#: margin on slow CI machines.
+#: Minimum events/second the smoke check enforces.  The simulator runs at
+#: well over a hundred thousand events/second; the quadratic event-queue
+#: regression this floor was set against ran at ~1 300, so the floor separates
+#: the two regimes with a wide margin on slow CI machines.
 THROUGHPUT_FLOOR = 5_000.0
 
 #: Maximum |simulated - analytical| blocking probability on the single-pair
@@ -112,7 +112,7 @@ def measure_dynamic_traffic() -> dict:
 
 
 def test_throughput_and_erlang_agreement():
-    """The smoke criterion: fast engine, analytically correct blocking."""
+    """The smoke criterion: fast simulator, analytically correct blocking."""
     report = measure_dynamic_traffic()
     assert report["throughput"]["events_per_second"] >= THROUGHPUT_FLOOR, report
     assert report["erlang_b"]["absolute_error"] <= ERLANG_TOLERANCE, report

@@ -2,7 +2,9 @@
 
 Events are ordered by (time, priority, sequence number); the sequence number
 makes the ordering total and deterministic even when many events share the same
-timestamp, which matters for reproducible simulations.
+timestamp, which matters for reproducible simulations.  The heap holds
+``(time, priority, sequence, event)`` tuples, so ordering compares plain
+numbers and never reaches the event itself.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -60,7 +62,7 @@ class EventQueue:
     """A deterministic priority queue of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
 
     def push(
@@ -80,30 +82,30 @@ class EventQueue:
             action=action,
             label=label,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.priority, event.sequence, event))
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next non-cancelled event, or None when empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, or None when empty."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def __len__(self) -> int:
         # O(heap size): cancelled events stay in the heap until popped.  Use
         # truthiness to test for pending events — the engine's hot loop does —
         # which is amortised O(1) via :meth:`peek_time`.
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None

@@ -220,7 +220,7 @@ class PoissonTrafficModel:
         holdings = np.maximum(holdings, np.finfo(float).tiny)
         if self.pairs is not None:
             choice = rng.integers(0, len(self.pairs), size=count)
-            endpoints = [self.pairs[int(i)] for i in choice]
+            endpoints = [self.pairs[i] for i in choice.tolist()]
         else:
             src_idx = rng.integers(0, len(cores), size=count)
             # Draw the destination over the remaining cores and shift past the
@@ -228,17 +228,13 @@ class PoissonTrafficModel:
             dst_idx = rng.integers(0, len(cores) - 1, size=count)
             dst_idx = np.where(dst_idx >= src_idx, dst_idx + 1, dst_idx)
             endpoints = [
-                (cores[int(s)], cores[int(d)]) for s, d in zip(src_idx, dst_idx)
+                (cores[s], cores[d]) for s, d in zip(src_idx.tolist(), dst_idx.tolist())
             ]
         stream = [
-            ConnectionRequest(
-                index=i,
-                source=endpoints[i][0],
-                destination=endpoints[i][1],
-                arrival=float(arrivals[i]),
-                holding=float(holdings[i]),
+            ConnectionRequest(index, source, destination, arrival, holding)
+            for index, ((source, destination), arrival, holding) in enumerate(
+                zip(endpoints, arrivals.tolist(), holdings.tolist())
             )
-            for i in range(count)
         ]
         _check_cores(stream, cores)
         return stream

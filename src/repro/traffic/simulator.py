@@ -1,39 +1,42 @@
-"""Event-driven dynamic-traffic simulation measured by blocking probability.
+"""Dynamic-traffic simulation measured by blocking probability.
 
-:class:`DynamicTrafficSimulator` replays a traffic model's connection stream
-through the generic discrete-event engine of :mod:`repro.simulation`: each
-request arrives, asks its online allocator for a wavelength that is free on
-*every* directed segment of the topology's source→destination path (the
+:class:`DynamicTrafficSimulator` replays a traffic model's connection stream:
+each request arrives, asks its online allocator for a wavelength that is free
+on *every* directed segment of the topology's source→destination path (the
 wavelength-continuity constraint), holds it for the request's holding time,
 and departs.  A request whose free set is empty is **blocked** — the
 fraction of blocked requests, with a Wilson score confidence interval and a
 warm-up exclusion window, is the figure of merit of the whole subsystem.
 
-Event ordering matters at equal timestamps: a departure that frees capacity
-at time *t* must be processed before an arrival at the same *t*, or the
-arrival would be blocked by a connection that is already gone.  The simulator
-pins this with the shared :data:`~repro.simulation.events.PRIORITY_RELEASE` /
-:data:`~repro.simulation.events.PRIORITY_ACQUIRE` convention.
+The stream has only two event kinds, so the simulator runs one specialised
+loop instead of scheduling callbacks on the generic discrete-event engine of
+:mod:`repro.simulation`: arrivals are walked in (arrival, stream position)
+order and pending departures wait in a heap.  The loop keeps the engine's
+ordering exactly, including the shared
+:data:`~repro.simulation.events.PRIORITY_RELEASE` /
+:data:`~repro.simulation.events.PRIORITY_ACQUIRE` tie-break: a departure that
+frees capacity at time *t* is processed before an arrival at the same *t*,
+or the arrival would be blocked by a connection that is already gone.
 
-Per-segment occupancy is tracked as wavelength bitmasks, so the free-set
-computation for a path is a handful of integer ORs regardless of the
-wavelength count — this is what the ``bench_dynamic_traffic`` events/sec
-benchmark measures.
+Per-segment occupancy is tracked as wavelength bitmasks indexed by small
+integer segment ids, so the free-set computation for a path is a handful of
+integer ORs regardless of the wavelength count — this is what the
+``bench_dynamic_traffic`` events/sec benchmark measures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Any, Dict, List, Mapping, Tuple
 
 from ..errors import TrafficError
-from ..simulation.engine import DiscreteEventEngine
-from ..simulation.events import PRIORITY_ACQUIRE, PRIORITY_RELEASE
 from ..telemetry import get_registry, timed_span
 from ..topology.base import OnocTopology
 from .allocators import OnlineAllocator
-from .models import ConnectionRequest, TrafficModel
+from .models import TrafficModel
 
 __all__ = [
     "BlockingReport",
@@ -190,24 +193,35 @@ class DynamicTrafficSimulator:
         self._allocator = allocator
         self._warmup_fraction = float(warmup_fraction)
         self._topology_name = topology_name or type(topology).__name__
-        self._path_segments: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        #: Small integer id of every directed segment seen so far.
+        self._segment_ids: Dict[Tuple[int, int], int] = {}
+        self._paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------ paths
-    def _segments(self, source: int, destination: int) -> List[Tuple[int, int]]:
+    def _path(self, source: int, destination: int) -> Tuple[int, ...]:
+        """Segment ids of the source->destination path, in path order."""
         key = (source, destination)
-        cached = self._path_segments.get(key)
+        cached = self._paths.get(key)
         if cached is None:
-            cached = self._topology.path(source, destination).segment_keys()
-            self._path_segments[key] = cached
+            ids = self._segment_ids
+            cached = tuple(
+                ids.setdefault(segment, len(ids))
+                for segment in self._topology.path(source, destination).segment_keys()
+            )
+            self._paths[key] = cached
         return cached
 
     def _network_segment_count(self) -> int:
-        segments = set()
-        for source in self._topology.core_ids():
-            for destination in self._topology.core_ids():
-                if source != destination:
-                    segments.update(self._segments(source, destination))
-        return len(segments)
+        cores = list(self._topology.core_ids())
+        return len(
+            {
+                segment
+                for source in cores
+                for destination in cores
+                if source != destination
+                for segment in self._path(source, destination)
+            }
+        )
 
     # -------------------------------------------------------------------- run
     def run(self) -> BlockingReport:
@@ -217,67 +231,17 @@ class DynamicTrafficSimulator:
         wavelength_count = topology.wavelength_count
         full_mask = (1 << wavelength_count) - 1
         warmup_count = int(len(requests) * self._warmup_fraction)
-
-        engine = DiscreteEventEngine()
-        busy_masks: Dict[Tuple[int, int], int] = {}
+        #: Sorted free-wavelength tuple of every free mask seen so far.
+        free_sets: Dict[int, Tuple[int, ...]] = {}
+        choose = self._allocator.choose
         usage = [0] * wavelength_count
         carried_per_wavelength = [0] * wavelength_count
         offered = 0
         blocked = 0
+        admitted = 0
         busy_segment_time = 0.0
-
-        def depart(segments: List[Tuple[int, int]], wavelength: int) -> None:
-            clear = ~(1 << wavelength)
-            for segment in segments:
-                busy_masks[segment] &= clear
-            usage[wavelength] -= 1
-
-        def arrive(request: ConnectionRequest) -> None:
-            nonlocal offered, blocked, busy_segment_time
-            measured = request.index >= warmup_count
-            if measured:
-                offered += 1
-            segments = self._segments(request.source, request.destination)
-            combined = 0
-            for segment in segments:
-                combined |= busy_masks.get(segment, 0)
-            free_mask = ~combined & full_mask
-            if free_mask == 0:
-                if measured:
-                    blocked += 1
-                return
-            free = tuple(
-                wavelength
-                for wavelength in range(wavelength_count)
-                if free_mask >> wavelength & 1
-            )
-            wavelength = self._allocator.choose(request, free, usage)
-            if wavelength not in free:
-                raise TrafficError(
-                    f"allocator {getattr(self._allocator, 'name', '?')!r} chose "
-                    f"wavelength {wavelength}, which is not free on the path of "
-                    f"request {request.index}"
-                )
-            bit = 1 << wavelength
-            for segment in segments:
-                busy_masks[segment] = busy_masks.get(segment, 0) | bit
-            usage[wavelength] += 1
-            carried_per_wavelength[wavelength] += 1
-            busy_segment_time += request.holding * len(segments)
-            engine.schedule_at(
-                request.departure,
-                lambda: depart(segments, wavelength),
-                priority=PRIORITY_RELEASE,
-                label=f"depart {request.index}",
-            )
-
-        for request in requests:
-            engine.schedule_at(
-                request.arrival,
-                lambda request=request: arrive(request),
-                priority=PRIORITY_ACQUIRE,
-                label=f"arrive {request.index}",
-            )
+        #: ``(departure, admission sequence, segment ids, wavelength)``.
+        departures: List[Tuple[float, int, Tuple[int, ...], int]] = []
 
         strategy_name = getattr(self._allocator, "name", type(self._allocator).__name__)
         with timed_span(
@@ -286,13 +250,65 @@ class DynamicTrafficSimulator:
             strategy=strategy_name,
             topology=self._topology_name,
         ):
-            duration = engine.run(max_events=max(1_000_000, 4 * len(requests)))
+            # Stable, so equal arrivals keep stream order; linear when the
+            # model already sorted its stream.
+            stream = sorted(requests, key=attrgetter("arrival"))
+            paths = [self._path(request.source, request.destination) for request in stream]
+            busy = [0] * len(self._segment_ids)
+            for request, path in zip(stream, paths):
+                arrival = request.arrival
+                # Release before acquire: a departure at the arrival's own
+                # timestamp frees its wavelength first.
+                while departures and departures[0][0] <= arrival:
+                    _, _, released, wavelength = heappop(departures)
+                    clear = ~(1 << wavelength)
+                    for segment in released:
+                        busy[segment] &= clear
+                    usage[wavelength] -= 1
+                measured = request.index >= warmup_count
+                if measured:
+                    offered += 1
+                combined = 0
+                for segment in path:
+                    combined |= busy[segment]
+                free_mask = ~combined & full_mask
+                if free_mask == 0:
+                    if measured:
+                        blocked += 1
+                    continue
+                free = free_sets.get(free_mask)
+                if free is None:
+                    free = free_sets[free_mask] = tuple(
+                        w for w in range(wavelength_count) if free_mask >> w & 1
+                    )
+                wavelength = choose(request, free, usage)
+                if wavelength not in free:
+                    raise TrafficError(
+                        f"allocator {getattr(self._allocator, 'name', '?')!r} chose "
+                        f"wavelength {wavelength}, which is not free on the path of "
+                        f"request {request.index}"
+                    )
+                bit = 1 << wavelength
+                for segment in path:
+                    busy[segment] |= bit
+                usage[wavelength] += 1
+                carried_per_wavelength[wavelength] += 1
+                busy_segment_time += request.holding * len(path)
+                heappush(departures, (arrival + request.holding, admitted, path, wavelength))
+                admitted += 1
+            # The last event is the latest pending departure; every one still
+            # pending departs at or after the last arrival.
+            if departures:
+                duration = max(departures)[0]
+            else:
+                duration = stream[-1].arrival if stream else 0.0
+        processed_events = len(requests) + admitted
 
         registry = get_registry()
         registry.counter("repro_traffic_requests_total").inc(len(requests))
         registry.counter("repro_traffic_offered_total").inc(offered)
         registry.counter("repro_traffic_blocked_total").inc(blocked)
-        registry.counter("repro_traffic_events_total").inc(engine.processed_events)
+        registry.counter("repro_traffic_events_total").inc(processed_events)
 
         probability = blocked / offered if offered else 0.0
         low, high = wilson_interval(blocked, offered)
@@ -301,7 +317,7 @@ class DynamicTrafficSimulator:
         utilisation = busy_segment_time / capacity if capacity > 0.0 else 0.0
         return BlockingReport(
             model=getattr(self._model, "name", type(self._model).__name__),
-            strategy=getattr(self._allocator, "name", type(self._allocator).__name__),
+            strategy=strategy_name,
             topology=self._topology_name,
             wavelength_count=wavelength_count,
             total_requests=len(requests),
@@ -314,5 +330,5 @@ class DynamicTrafficSimulator:
             mean_link_utilisation=utilisation,
             duration=duration,
             per_wavelength_carried=tuple(carried_per_wavelength),
-            events_processed=engine.processed_events,
+            events_processed=processed_events,
         )

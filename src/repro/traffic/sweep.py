@@ -2,9 +2,10 @@
 
 :func:`sweep_blocking` is the batch front of the dynamic-traffic subsystem —
 the engine behind ``repro traffic`` and ``examples/dynamic_traffic.py``.  For
-every (offered load, wavelength count) point it generates *one* request
-stream from the seed and replays the identical stream under every strategy,
-so a strategy comparison measures the policies and not sampling noise.
+every (offered load, wavelength count) point each strategy regenerates the
+request stream from the same seed, so every strategy replays the identical
+stream and a strategy comparison measures the policies and not sampling
+noise.
 """
 
 from __future__ import annotations
