@@ -12,8 +12,8 @@ of the classic RWA literature.
 * :mod:`~repro.traffic.allocators` — ``OnlineAllocator`` protocol +
   :data:`ONLINE_ALLOCATORS` registry (``first_fit``, ``least_used``,
   ``most_used``, ``random``).
-* :mod:`~repro.traffic.simulator`  — :class:`DynamicTrafficSimulator` on the
-  shared discrete-event engine, producing a :class:`BlockingReport` with a
+* :mod:`~repro.traffic.simulator`  — :class:`DynamicTrafficSimulator`, an
+  arrival/departure loop producing a :class:`BlockingReport` with a
   Wilson interval, warm-up exclusion and link utilisation; plus the
   :func:`erlang_b` analytical oracle.
 * :mod:`~repro.traffic.sweep`      — load-vs-blocking sweeps across

@@ -210,16 +210,16 @@ def test_simulator_matches_the_engine_driven_reference(case):
 
 def test_reference_matches_the_simulator_on_a_poisson_sweep_point():
     """The oracle itself reproduces a realistic multi-segment run."""
+
+    def parts(strategy):
+        topology = build_topology("multi_ring", 4, 4, wavelength_count=3)
+        model = build_traffic_model(
+            "poisson", {"offered_load_erlangs": 12.0, "request_count": 500}, seed=3
+        )
+        return topology, model, build_online_allocator(strategy, None, seed=4)
+
     for strategy in STRATEGIES:
-        reports = []
-        for _ in range(2):
-            topology = build_topology("multi_ring", 4, 4, wavelength_count=3)
-            model = build_traffic_model(
-                "poisson", {"offered_load_erlangs": 12.0, "request_count": 500}, seed=3
-            )
-            allocator = build_online_allocator(strategy, None, seed=4)
-            reports.append((topology, model, allocator))
-        expected = reference_report(*reports[0], 0.1, "multi_ring")
-        actual = DynamicTrafficSimulator(*reports[1], topology_name="multi_ring").run()
+        expected = reference_report(*parts(strategy), 0.1, "multi_ring")
+        actual = DynamicTrafficSimulator(*parts(strategy), topology_name="multi_ring").run()
         assert actual == expected
         assert 0 < actual.blocked < actual.offered
