@@ -16,7 +16,7 @@ of percent between drains, so a single 1-worker/pool comparison swings from
   neither arm always runs first;
 * one discarded warm-up pair comes first;
 * the reported speedup is the median of the per-pair ratios over
-  :data:`DEFAULT_ROUNDS` pairs, with their quartiles as the spread.
+  :data:`ROUNDS` pairs, with their quartiles as the spread.
 
 Run as a script to produce ``BENCH_jobs.json`` — the queue-throughput report
 the CI smoke job checks::
@@ -54,7 +54,7 @@ JOB_COUNT = 8
 POOL_WORKERS = 4
 
 #: Measured 1-worker/pool pairs; the median pair speedup is the result.
-DEFAULT_ROUNDS = 12
+ROUNDS = 12
 
 #: GA sizing per job: about 55 ms per job on a 2-vCPU VM.
 DEFAULT_POPULATION = 32
@@ -113,16 +113,15 @@ def _drain_pool(path: Path) -> tuple:
 def measure_job_throughput(
     population: int = DEFAULT_POPULATION,
     generations: int = DEFAULT_GENERATIONS,
-    rounds: int = DEFAULT_ROUNDS,
 ) -> dict:
-    """Drain the same job mix with 1 worker and with a pool, ``rounds`` times each."""
+    """Drain the same job mix with 1 worker and with a pool, :data:`ROUNDS` times each."""
     scenarios = _scenarios(population, generations)
     arms = {"solo": _drain_solo, "pool": _drain_pool}
     seconds: dict = {"solo": [], "pool": []}
     completed: dict = {"solo": [], "pool": []}
     with tempfile.TemporaryDirectory() as tempdir:
         # Round -1 is the discarded warm-up pair.
-        for round_index in range(-1, rounds):
+        for round_index in range(-1, ROUNDS):
             order = ("solo", "pool") if round_index % 2 == 0 else ("pool", "solo")
             for arm in order:
                 path = Path(tempdir) / f"{arm}-{round_index + 1}.sqlite"
@@ -136,10 +135,7 @@ def measure_job_throughput(
     pair_speedups = [
         solo / pool for solo, pool in zip(seconds["solo"], seconds["pool"])
     ]
-    if len(pair_speedups) > 1:
-        lower, _, upper = statistics.quantiles(pair_speedups, n=4)
-    else:
-        lower = upper = pair_speedups[0]
+    lower, _, upper = statistics.quantiles(pair_speedups, n=4)
     solo_median = statistics.median(seconds["solo"])
     pool_median = statistics.median(seconds["pool"])
     return {
@@ -147,7 +143,7 @@ def measure_job_throughput(
         "job_count": len(scenarios),
         "population": population,
         "generations": generations,
-        "rounds": rounds,
+        "rounds": ROUNDS,
         "solo_median_seconds": solo_median,
         "solo_jobs_per_second": len(scenarios) / solo_median,
         "solo_completed": min(completed["solo"]),
@@ -162,7 +158,7 @@ def measure_job_throughput(
 
 def test_pool_drains_everything_at_least_as_fast():
     """The smoke criterion: all jobs done, the pool no slower than one worker."""
-    report = measure_job_throughput()
+    report = measure_job_throughput(population=16, generations=4)
     assert report["solo_completed"] == report["job_count"], report
     assert report["pool_completed"] == report["job_count"], report
     assert report["pool_speedup"] >= pool_speedup_floor(report["cpu_count"]), report
@@ -191,12 +187,6 @@ def main() -> None:
         help=f"GA generations per scenario (default: {DEFAULT_GENERATIONS})",
     )
     parser.add_argument(
-        "--rounds",
-        type=int,
-        default=DEFAULT_ROUNDS,
-        help=f"1-worker/pool sample pairs (default: {DEFAULT_ROUNDS})",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="exit non-zero when the median pair speedup falls below the "
@@ -204,9 +194,7 @@ def main() -> None:
     )
     arguments = parser.parse_args()
 
-    report = measure_job_throughput(
-        arguments.population, arguments.generations, arguments.rounds
-    )
+    report = measure_job_throughput(arguments.population, arguments.generations)
     arguments.output.write_text(json.dumps(report, indent=2) + "\n")
     floor = pool_speedup_floor(report["cpu_count"])
     lower, upper = report["pair_speedup_quartiles"]

@@ -212,16 +212,13 @@ class DynamicTrafficSimulator:
         return cached
 
     def _network_segment_count(self) -> int:
+        """Distinct directed segments over every ordered pair of cores."""
         cores = list(self._topology.core_ids())
-        return len(
-            {
-                segment
-                for source in cores
-                for destination in cores
-                if source != destination
-                for segment in self._path(source, destination)
-            }
-        )
+        for source in cores:
+            for destination in cores:
+                if source != destination:
+                    self._path(source, destination)
+        return len(self._segment_ids)
 
     # -------------------------------------------------------------------- run
     def run(self) -> BlockingReport:
