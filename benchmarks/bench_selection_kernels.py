@@ -30,9 +30,9 @@ from repro.allocation import (
     AllocationEvaluator,
     Nsga2Optimizer,
     ParetoFront,
-    crowding_distance_numpy,
+    crowding_distance,
     crowding_distance_python,
-    non_dominated_sort_numpy,
+    non_dominated_sort,
     non_dominated_sort_python,
 )
 from repro.application import paper_mapping, paper_task_graph
@@ -106,13 +106,13 @@ def measure_selection_throughput(
     rows = [tuple(row) for row in matrix]
 
     legacy_sort = _ops_per_second(lambda: non_dominated_sort_python(rows), min_seconds)
-    fast_sort = _ops_per_second(lambda: non_dominated_sort_numpy(matrix), min_seconds)
+    fast_sort = _ops_per_second(lambda: non_dominated_sort(matrix), min_seconds)
 
     legacy_crowding = _ops_per_second(
         lambda: crowding_distance_python(rows), min_seconds
     )
     fast_crowding = _ops_per_second(
-        lambda: crowding_distance_numpy(matrix), min_seconds
+        lambda: crowding_distance(matrix), min_seconds
     )
 
     # Front maintenance: one generation's valid newcomers entering the
@@ -141,8 +141,8 @@ def measure_selection_throughput(
             crowding_distance_python([rows[index] for index in front])
 
     def fast_selection():
-        for front in non_dominated_sort_numpy(matrix):
-            crowding_distance_numpy(matrix[np.asarray(front, dtype=int)])
+        for front in non_dominated_sort(matrix):
+            crowding_distance(matrix[np.asarray(front, dtype=int)])
 
     legacy_combined = _ops_per_second(legacy_selection, min_seconds)
     fast_combined = _ops_per_second(fast_selection, min_seconds)
@@ -219,13 +219,13 @@ def test_legacy_sort_merged_pool(benchmark, pool_256):
 
 def test_vectorized_sort_merged_pool(benchmark, pool_256):
     """Broadcast non-dominated sort on the 512-row pool."""
-    fronts = benchmark(non_dominated_sort_numpy, pool_256)
+    fronts = benchmark(non_dominated_sort, pool_256)
     assert sum(len(front) for front in fronts) == len(pool_256)
 
 
 def test_vectorized_crowding_merged_pool(benchmark, pool_256):
     """Loop-free crowding distance on the 512-row pool."""
-    distances = benchmark(crowding_distance_numpy, pool_256)
+    distances = benchmark(crowding_distance, pool_256)
     assert len(distances) == len(pool_256)
 
 

@@ -8,8 +8,8 @@
 * :mod:`~repro.allocation.batch`       — the vectorized population-level
   evaluation engine every optimizer backend runs on.
 * :mod:`~repro.allocation.pareto`      — non-dominated sorting, crowding
-  distance and Pareto-front containers; each exists as a vectorized
-  NumPy-broadcast kernel plus an equivalence-tested pure-Python oracle.
+  distance and Pareto-front containers as NumPy-broadcast kernels, plus the
+  pure-Python reference sort and crowding distance the tests compare against.
 * :mod:`~repro.allocation.nsga2`       — the NSGA-II engine (Section III-D).
 * :mod:`~repro.allocation.heuristics`  — classical baselines (random, first-fit,
   most-used, least-used, uniform).
@@ -32,12 +32,10 @@ from .batch import BatchEvaluation, BatchEvaluator
 from .pareto import (
     ParetoFront,
     crowding_distance,
-    crowding_distance_numpy,
     crowding_distance_python,
     dominance_matrix,
     dominates,
     non_dominated_sort,
-    non_dominated_sort_numpy,
     non_dominated_sort_python,
 )
 from .nsga2 import Nsga2Optimizer, Nsga2Result
@@ -63,12 +61,10 @@ __all__ = [
     "ValidityReport",
     "ParetoFront",
     "crowding_distance",
-    "crowding_distance_numpy",
     "crowding_distance_python",
     "dominance_matrix",
     "dominates",
     "non_dominated_sort",
-    "non_dominated_sort_numpy",
     "non_dominated_sort_python",
     "Nsga2Optimizer",
     "Nsga2Result",

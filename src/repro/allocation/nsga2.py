@@ -19,15 +19,17 @@ The engine is *vectorized*: the population lives as one ``(population,
 genome)`` uint8 matrix, the genetic operators act on whole matrices, and
 objective evaluation runs through the
 :class:`~repro.allocation.batch.BatchEvaluator` with a byte-fingerprint memo
-that skips chromosomes already evaluated earlier in the run.  Setting
-``engine="scalar"`` keeps the identical operators and random stream but routes
-evaluation through the readable scalar
-:class:`~repro.allocation.objectives.AllocationEvaluator` — the
-test-suite uses this to pin down batch/scalar determinism.
+that skips chromosomes already evaluated earlier in the run.  Selection runs
+on the vectorized kernels of :mod:`~repro.allocation.pareto`.  This is the
+only production path; the readable references live in the tests:
+``tests/test_nsga2_vectorization.py`` and ``tests/test_selection_kernels.py``
+rerun this optimiser with every population scored row by row through the
+scalar :class:`~repro.allocation.objectives.AllocationEvaluator` and with the
+pure-Python sort/crowding oracles, and assert the same search trajectory.
 
 The optimiser also keeps the run-wide books the paper reports in Table II:
 every *unique valid* chromosome ever evaluated, and the Pareto front across all
-of them.  The batch engine keeps both as arrays: the valid rows stay row
+of them.  Both are kept as arrays: the valid rows stay row
 subsets of the :class:`~repro.allocation.batch.BatchEvaluation` that scored
 them, and the run-wide front holds row indices into those books.  Only the
 final front and the final population become
@@ -62,9 +64,6 @@ from .objectives import AllocationEvaluator, AllocationSolution, ObjectiveVector
 from .pareto import ParetoFront, crowding_distance, non_dominated_sort
 
 __all__ = ["GenerationRecord", "LazySolutionMap", "Nsga2Result", "Nsga2Optimizer"]
-
-#: Evaluation engines accepted by :class:`Nsga2Optimizer`.
-_ENGINES = ("batch", "scalar")
 
 #: Registry series the run books are derived from (one registry per run).
 EVALUATIONS_METRIC = "repro_engine_evaluations_total"
@@ -147,13 +146,12 @@ class Nsga2Result:
     final_population: List[AllocationSolution]
     pareto_front: ParetoFront[AllocationSolution]
     #: Every distinct valid chromosome of the run, keyed by its genes, in
-    #: discovery order (a :class:`LazySolutionMap` for the batch engine).
+    #: discovery order (a :class:`LazySolutionMap`).
     unique_valid_solutions: Mapping[Tuple[int, ...], AllocationSolution]
     history: List[GenerationRecord] = field(default_factory=list)
     evaluations: int = 0
     memo_hits: int = 0
     wall_clock_seconds: float = 0.0
-    engine: str = "batch"
     #: Run totals of the per-generation phase split (see :class:`GenerationRecord`).
     evaluation_seconds: float = 0.0
     selection_seconds: float = 0.0
@@ -213,12 +211,6 @@ class Nsga2Optimizer:
         Which objectives to optimise (subset of ``("time", "ber", "energy")``).
         The paper draws its Fig. 6a front on (time, energy) and its Fig. 6b /
         Fig. 7 fronts on (time, ber); the default optimises all three at once.
-    engine:
-        ``"batch"`` (default) evaluates whole populations through the
-        vectorized :class:`~repro.allocation.batch.BatchEvaluator`;
-        ``"scalar"`` evaluates row by row through the reference evaluator with
-        the same operators and random stream (slow — used by equivalence and
-        determinism tests).
     """
 
     def __init__(
@@ -226,7 +218,6 @@ class Nsga2Optimizer:
         evaluator: AllocationEvaluator,
         parameters: Optional[GeneticParameters] = None,
         objective_keys: Sequence[str] = ObjectiveVector.KEYS,
-        engine: str = "batch",
     ) -> None:
         self._evaluator = evaluator
         self._parameters = parameters or GeneticParameters()
@@ -236,24 +227,13 @@ class Nsga2Optimizer:
         for key in keys:
             if key not in ObjectiveVector.KEYS:
                 raise AllocationError(f"unknown objective key {key!r}")
-        if engine not in _ENGINES:
-            raise AllocationError(
-                f"unknown evaluation engine {engine!r}; choose from {_ENGINES}"
-            )
         self._objective_keys = keys
-        self._engine = engine
-        #: Selection kernels follow the evaluation engine: the batch engine
-        #: uses the NumPy-broadcast sort/crowding/front kernels, the scalar
-        #: engine the pure-Python oracle (bit-identical, equivalence-tested).
-        self._kernel_engine = "vectorized" if engine == "batch" else "python"
         self._batch = evaluator.batch()
         self._rng = np.random.default_rng(self._parameters.seed)
         self._memo: Dict[bytes, _EvalRecord] = {}
-        #: Valid-solution books, shared with the memo across runs: the batch
-        #: engine keeps row subsets of its evaluations, the scalar engine the
-        #: solutions themselves.  ``_book_size`` counts rows of either.
+        #: Valid-solution books, shared with the memo across runs: row subsets
+        #: of the evaluations that scored them; ``_book_size`` counts the rows.
         self._book_parts: List[BatchEvaluation] = []
-        self._book_solutions: List[AllocationSolution] = []
         self._book_size = 0
         self._genome = evaluator.communication_count * evaluator.wavelength_count
         self._objective_columns = [ObjectiveVector.KEYS.index(key) for key in keys]
@@ -278,11 +258,6 @@ class Nsga2Optimizer:
     def evaluator(self) -> AllocationEvaluator:
         """The scalar reference evaluator describing the scenario."""
         return self._evaluator
-
-    @property
-    def engine(self) -> str:
-        """The evaluation engine in use (``"batch"`` or ``"scalar"``)."""
-        return self._engine
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -313,7 +288,6 @@ class Nsga2Optimizer:
 
         with span(
             "engine.run",
-            engine=self._engine,
             population=parameters.population_size,
             generations=parameters.generations,
         ), Stopwatch() as run_watch:
@@ -353,7 +327,6 @@ class Nsga2Optimizer:
             evaluations=int(registry.counter_value(EVALUATIONS_METRIC)),
             memo_hits=int(registry.counter_value(MEMO_HITS_METRIC)),
             wall_clock_seconds=run_watch.elapsed,
-            engine=self._engine,
             evaluation_seconds=registry.histogram_stats(
                 PHASE_METRIC, phase="evaluation"
             )["sum"],
@@ -374,7 +347,6 @@ class Nsga2Optimizer:
         from . import heuristics  # local import to avoid a module cycle at package load
 
         rows: List[np.ndarray] = []
-        nl = self._evaluator.communication_count
         nw = self._evaluator.wavelength_count
         # Seed the population with the uniform first-fit allocations (1, 2, ...
         # wavelengths per communication) when they exist; this guarantees the
@@ -403,9 +375,8 @@ class Nsga2Optimizer:
 
         Returns the full three-objective matrix (``inf`` rows for invalid
         chromosomes).  Newly discovered valid chromosomes join the run-wide
-        books and their book rows the run-wide Pareto front: the batch engine
-        in one batched :meth:`~repro.allocation.pareto.ParetoFront.extend_array`
-        call per generation, the scalar engine one by one (the oracle path).
+        books and their book rows the run-wide Pareto front, in one batched
+        :meth:`~repro.allocation.pareto.ParetoFront.extend_array` call.
         """
         registry = self._metrics
         with timed_span(
@@ -431,10 +402,7 @@ class Nsga2Optimizer:
             if fresh:
                 registry.counter(EVALUATIONS_METRIC).inc(len(fresh))
                 rows = matrix[list(fresh.values())]
-                if self._engine == "batch":
-                    new_objectives, new_rows = self._evaluate_batch(list(fresh), rows)
-                else:
-                    new_objectives, new_rows = self._evaluate_scalar(list(fresh), rows)
+                new_objectives, new_rows = self._evaluate_batch(list(fresh), rows)
 
             with span("engine.evaluation.memo"):
                 objectives = np.array(
@@ -448,11 +416,7 @@ class Nsga2Optimizer:
                 registry=registry,
                 phase="selection",
             ), span("engine.selection.front"):
-                if self._engine == "batch":
-                    front.extend_array(new_objectives, new_rows)
-                else:
-                    for row, objective in zip(new_rows, new_objectives):
-                        front.add(row, objective)
+                front.extend_array(new_objectives, new_rows)
         return objectives
 
     def _evaluate_batch(
@@ -478,41 +442,17 @@ class Nsga2Optimizer:
             keyed = evaluation.objective_matrix(self._objective_keys)[valid]
         return keyed, book_rows[valid].tolist()
 
-    def _evaluate_scalar(
-        self, keys: List[bytes], rows: np.ndarray
-    ) -> Tuple[List[Tuple[float, ...]], List[int]]:
-        """Score fresh rows one by one through the scalar reference evaluator."""
-        nl = self._evaluator.communication_count
-        nw = self._evaluator.wavelength_count
-        new_objectives: List[Tuple[float, ...]] = []
-        new_rows: List[int] = []
-        with span("engine.evaluation.kernel", rows=len(keys)):
-            for key, genes in zip(keys, rows):
-                chromosome = Chromosome.from_numpy(genes, nl, nw)
-                solution = self._evaluator.evaluate(chromosome)
-                row = -1
-                if solution.is_valid:
-                    row = self._book_size
-                    self._book_solutions.append(solution)
-                    self._book_size += 1
-                    new_objectives.append(
-                        solution.objective_tuple(self._objective_keys)
-                    )
-                    new_rows.append(row)
-                self._memo[key] = _EvalRecord(solution.objectives.as_tuple(), row)
-        return new_objectives, new_rows
-
     def _materialize_books(
         self, front: ParetoFront[int], population: np.ndarray, book_start: int
     ) -> Tuple[
         ParetoFront[AllocationSolution],
         List[AllocationSolution],
-        Mapping[Tuple[int, ...], AllocationSolution],
+        LazySolutionMap,
     ]:
         """Solutions of the final front and population, and the run's valid books.
 
         Runs inside the evaluation phase of the last generation.  Only the
-        front and the population are materialised here; the batch engine's
+        front and the population are materialised here;
         ``unique_valid_solutions`` builds any other row when it is first read.
         """
         with timed_span(
@@ -521,31 +461,21 @@ class Nsga2Optimizer:
             registry=self._metrics,
             phase="evaluation",
         ), span("engine.evaluation.books"):
-            unique_valid: Mapping[Tuple[int, ...], AllocationSolution]
-            solution_at: Callable[[int], AllocationSolution]
-            if self._engine == "batch":
-                book = BatchEvaluation.concatenate(self._book_parts)
-                self._book_parts = [book]
-                if book_start:
-                    book_rows = book.take(np.arange(book_start, len(book)))
-                else:
-                    book_rows = book
-                lazy = LazySolutionMap(book_rows)
-
-                def solution_at(row: int) -> AllocationSolution:
-                    # Rows booked by an earlier run() of this optimiser are
-                    # outside this run's map.
-                    if row >= book_start:
-                        return lazy.solution(row - book_start)
-                    return book.solution(row)
-
-                unique_valid = lazy
+            book = BatchEvaluation.concatenate(self._book_parts)
+            self._book_parts = [book]
+            if book_start:
+                book_rows = book.take(np.arange(book_start, len(book)))
             else:
-                solution_at = self._book_solutions.__getitem__
-                unique_valid = {
-                    solution.chromosome.genes: solution
-                    for solution in self._book_solutions[book_start:]
-                }
+                book_rows = book
+            unique_valid = LazySolutionMap(book_rows)
+
+            def solution_at(row: int) -> AllocationSolution:
+                # Rows booked by an earlier run() of this optimiser are
+                # outside this run's map.
+                if row >= book_start:
+                    return unique_valid.solution(row - book_start)
+                return book.solution(row)
+
             pareto_front: ParetoFront[AllocationSolution] = ParetoFront(
                 items=[solution_at(row) for row in front.items],
                 objectives=list(front.objectives),
@@ -592,16 +522,14 @@ class Nsga2Optimizer:
         ):
             keyed = self._keyed(objectives)
             with span("engine.selection.sort", rows=len(keyed)):
-                fronts = non_dominated_sort(keyed, engine=self._kernel_engine)
+                fronts = non_dominated_sort(keyed)
             rank = np.zeros(len(keyed), dtype=int)
             distance = np.zeros(len(keyed))
             with span("engine.selection.crowding", fronts=len(fronts)):
                 for front_position, front_indices in enumerate(fronts):
                     indices = np.asarray(front_indices, dtype=int)
                     rank[indices] = front_position
-                    distance[indices] = crowding_distance(
-                        keyed[indices], engine=self._kernel_engine
-                    )
+                    distance[indices] = crowding_distance(keyed[indices])
         return rank, distance
 
     def _environmental_selection(self, objectives: np.ndarray) -> np.ndarray:
@@ -615,7 +543,7 @@ class Nsga2Optimizer:
             target = self._parameters.population_size
             keyed = self._keyed(objectives)
             with span("engine.selection.sort", rows=len(keyed)):
-                fronts = non_dominated_sort(keyed, engine=self._kernel_engine)
+                fronts = non_dominated_sort(keyed)
             selected: List[int] = []
             for front_indices in fronts:
                 if len(selected) + len(front_indices) <= target:
@@ -626,8 +554,7 @@ class Nsga2Optimizer:
                     break
                 with span("engine.selection.crowding", fronts=1):
                     distances = crowding_distance(
-                        keyed[np.asarray(front_indices, dtype=int)],
-                        engine=self._kernel_engine,
+                        keyed[np.asarray(front_indices, dtype=int)]
                     )
                 order = np.argsort(-distances, kind="stable")
                 selected.extend(
@@ -712,44 +639,11 @@ class Nsga2Optimizer:
             flips[self._rng.integers(0, self._genome)] = True
         return flips
 
-    # ----------------------------------------- chromosome-level operator views
-    def _crossover(
-        self, parent_a: Chromosome, parent_b: Chromosome
-    ) -> Tuple[Chromosome, Chromosome]:
-        """Two-point crossover of one chromosome pair (single-pair matrix path)."""
-        if self._rng.random() >= self._parameters.crossover_probability:
-            return parent_a, parent_b
-        lower, upper = sorted(self._rng.integers(0, len(parent_a), size=2))
-        if lower == upper:
-            return parent_a, parent_b
-        genes_a = parent_a.as_array().reshape(-1).copy()
-        genes_b = parent_b.as_array().reshape(-1).copy()
-        genes_a[lower:upper], genes_b[lower:upper] = (
-            genes_b[lower:upper].copy(),
-            genes_a[lower:upper].copy(),
-        )
-        nl, nw = parent_a.communication_count, parent_a.wavelength_count
-        return (
-            Chromosome.from_numpy(genes_a, nl, nw),
-            Chromosome.from_numpy(genes_b, nl, nw),
-        )
-
-    def _mutate(self, chromosome: Chromosome) -> Chromosome:
-        """Bit-flip mutation of one chromosome (single-row matrix path)."""
-        probability = self._parameters.mutation_probability
-        if probability <= 0.0:
-            return chromosome
-        flips = self._draw_flips(probability)
-        genes = np.where(flips, 1 - chromosome.as_array().reshape(-1), chromosome.as_array().reshape(-1))
-        return Chromosome.from_numpy(
-            genes, chromosome.communication_count, chromosome.wavelength_count
-        )
-
     def _record(
         self,
         generation: int,
         objectives: np.ndarray,
-        front: ParetoFront[AllocationSolution],
+        front: ParetoFront[int],
         wall_clock_seconds: float,
         books_before: Tuple[float, float, float, float, float],
     ) -> GenerationRecord:

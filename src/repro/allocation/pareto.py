@@ -12,26 +12,17 @@ All objectives are minimised.  The functions operate on plain objective arrays
 so they are reusable outside the GA (the exhaustive search and the analysis
 module use them too).
 
-Like objective evaluation, selection exists in two deliberately redundant
-implementations:
-
-* **Pure-Python oracle** — :func:`non_dominated_sort_python` /
-  :func:`crowding_distance_python` keep the readable, textbook O(N²·M) code
-  (the historical implementation).  They define the semantics, including the
-  exact front *order* Deb's book-keeping produces and the exact floating-point
-  summation order of the crowding distances.
-* **Vectorized kernels** — :func:`non_dominated_sort_numpy` /
-  :func:`crowding_distance_numpy` compute the same results through NumPy
-  array operations (one pairwise ``<=`` mask accumulated objective by
-  objective, iterative front peeling; per-objective ``argsort`` +
-  neighbour-gap ``diff``).  They are
-  constructed to reproduce the oracle bit for bit — identical front index
-  order, distances to 0 ulp — and the randomized equivalence suite in
-  ``tests/test_selection_kernels.py`` pins that down.
-
-The public :func:`non_dominated_sort` / :func:`crowding_distance` entry points
-dispatch to the vectorized kernels by default; ``engine="python"`` selects the
-oracle (the GA's ``engine="scalar"`` plumbing routes through it).
+The sort and the crowding distance are NumPy kernels: one pairwise ``<=``
+mask accumulated objective by objective with iterative front peeling, and a
+per-objective ``argsort`` with neighbour-gap slice differences.  They are the
+only production implementation.  :func:`non_dominated_sort_python` and
+:func:`crowding_distance_python` keep the readable, textbook O(N²·M) code as
+named references: they define the semantics, including the exact front
+*order* Deb's book-keeping produces and the exact floating-point summation
+order of the crowding distances.  The kernels reproduce them bit for bit —
+identical front index order, distances to 0 ulp — which the randomized and
+property-based suites in ``tests/test_selection_kernels.py`` pin down, and
+``benchmarks/bench_selection_kernels.py`` times them against each other.
 """
 
 from __future__ import annotations
@@ -45,18 +36,13 @@ __all__ = [
     "dominates",
     "dominance_matrix",
     "non_dominated_sort",
-    "non_dominated_sort_numpy",
     "non_dominated_sort_python",
     "crowding_distance",
-    "crowding_distance_numpy",
     "crowding_distance_python",
     "ParetoFront",
 ]
 
 T = TypeVar("T")
-
-#: Selection-kernel engines accepted by the dispatching entry points.
-_KERNEL_ENGINES = ("vectorized", "python")
 
 #: Finite stand-in for infinite objectives inside the crowding computation.
 _INF_CLAMP = 1.0e300
@@ -124,76 +110,13 @@ def _no_worse(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return result
 
 
-def non_dominated_sort(
-    objectives: Sequence[Sequence[float]], engine: str = "vectorized"
-) -> List[List[int]]:
+def non_dominated_sort(objectives: Sequence[Sequence[float]]) -> List[List[int]]:
     """Fast non-dominated sort of Deb et al.
 
-    Parameters
-    ----------
-    objectives:
-        One objective vector per solution (all minimised); any sequence of
-        sequences or an ``(N, M)`` array.
-    engine:
-        ``"vectorized"`` (default) runs the NumPy-broadcast kernel,
-        ``"python"`` the pure-Python oracle.  Both produce identical fronts in
-        identical index order.
-
-    Returns
-    -------
-    list of fronts, each a list of solution indices; the first front contains
-    the non-dominated solutions.
-    """
-    if engine not in _KERNEL_ENGINES:
-        raise ValueError(
-            f"unknown selection-kernel engine {engine!r}; choose from {_KERNEL_ENGINES}"
-        )
-    if engine == "python":
-        return non_dominated_sort_python(objectives)
-    count = len(objectives)
-    if count == 0:
-        return []
-    return non_dominated_sort_numpy(np.asarray(objectives, dtype=float))
-
-
-def non_dominated_sort_python(
-    objectives: Sequence[Sequence[float]],
-) -> List[List[int]]:
-    """The pure-Python oracle sort (historical implementation, O(N²·M))."""
-    count = len(objectives)
-    if count == 0:
-        return []
-    dominated_by: List[List[int]] = [[] for _ in range(count)]
-    domination_counter = [0] * count
-    fronts: List[List[int]] = [[]]
-
-    for p in range(count):
-        for q in range(count):
-            if p == q:
-                continue
-            if _dominates_unchecked(objectives[p], objectives[q]):
-                dominated_by[p].append(q)
-            elif _dominates_unchecked(objectives[q], objectives[p]):
-                domination_counter[p] += 1
-        if domination_counter[p] == 0:
-            fronts[0].append(p)
-
-    current = 0
-    while fronts[current]:
-        next_front: List[int] = []
-        for p in fronts[current]:
-            for q in dominated_by[p]:
-                domination_counter[q] -= 1
-                if domination_counter[q] == 0:
-                    next_front.append(q)
-        current += 1
-        fronts.append(next_front)
-    fronts.pop()  # the last front is always empty
-    return fronts
-
-
-def non_dominated_sort_numpy(objectives: np.ndarray) -> List[List[int]]:
-    """Vectorized non-dominated sort over an ``(N, M)`` objective matrix.
+    ``objectives`` holds one vector per solution (all minimised): any
+    sequence of sequences or an ``(N, M)`` array.  Returns the fronts, each a
+    list of solution indices; the first front holds the non-dominated
+    solutions.
 
     :func:`dominance_matrix` builds the full domination matrix, then fronts
     are peeled iteratively: the solutions whose remaining domination count
@@ -227,31 +150,82 @@ def non_dominated_sort_numpy(objectives: np.ndarray) -> List[List[int]]:
     return fronts
 
 
-def crowding_distance(
-    objectives: Sequence[Sequence[float]], engine: str = "vectorized"
-) -> np.ndarray:
+def non_dominated_sort_python(
+    objectives: Sequence[Sequence[float]],
+) -> List[List[int]]:
+    """Reference sort: Deb's book-keeping in plain Python, O(N²·M).
+
+    Defines the front order :func:`non_dominated_sort` reproduces.
+    """
+    count = len(objectives)
+    if count == 0:
+        return []
+    dominated_by: List[List[int]] = [[] for _ in range(count)]
+    domination_counter = [0] * count
+    fronts: List[List[int]] = [[]]
+
+    for p in range(count):
+        for q in range(count):
+            if p == q:
+                continue
+            if _dominates_unchecked(objectives[p], objectives[q]):
+                dominated_by[p].append(q)
+            elif _dominates_unchecked(objectives[q], objectives[p]):
+                domination_counter[p] += 1
+        if domination_counter[p] == 0:
+            fronts[0].append(p)
+
+    current = 0
+    while fronts[current]:
+        next_front: List[int] = []
+        for p in fronts[current]:
+            for q in dominated_by[p]:
+                domination_counter[q] -= 1
+                if domination_counter[q] == 0:
+                    next_front.append(q)
+        current += 1
+        fronts.append(next_front)
+    fronts.pop()  # the last front is always empty
+    return fronts
+
+
+def crowding_distance(objectives: Sequence[Sequence[float]]) -> np.ndarray:
     """Crowding distance of every solution of one front.
 
     Boundary solutions of each objective receive an infinite distance so they
-    are always preferred; interior solutions receive the normalised size of the
-    cuboid formed by their nearest neighbours.  ``engine`` picks the vectorized
-    kernel (default) or the pure-Python oracle; both return bit-identical
-    distances.
+    are always preferred; interior solutions receive the normalised size of
+    the cuboid formed by their nearest neighbours.
+
+    Per objective column: one stable ``argsort``, the neighbour gaps as a
+    single ``values[2:] - values[:-2]`` slice difference, scattered back with
+    one fancy-indexed add.  Objectives accumulate in column order with the
+    same elementwise operations as :func:`crowding_distance_python`, so the
+    distances match it to 0 ulp.
     """
-    if engine not in _KERNEL_ENGINES:
-        raise ValueError(
-            f"unknown selection-kernel engine {engine!r}; choose from {_KERNEL_ENGINES}"
-        )
-    if engine == "python":
-        return crowding_distance_python(objectives)
-    count = len(objectives)
+    matrix = np.asarray(objectives, dtype=float)
+    count = matrix.shape[0]
     if count == 0:
         return np.zeros(0)
-    return crowding_distance_numpy(np.asarray(objectives, dtype=float))
+    matrix = np.where(np.isfinite(matrix), matrix, _INF_CLAMP)
+    distances = np.zeros(count)
+    order = np.argsort(matrix, axis=0, kind="stable")
+    for objective in range(matrix.shape[1]):
+        column_order = order[:, objective]
+        values = matrix[column_order, objective]
+        distances[column_order[0]] = np.inf
+        distances[column_order[-1]] = np.inf
+        span = values[-1] - values[0]
+        if span <= 0.0 or count < 3:
+            continue
+        distances[column_order[1:-1]] += (values[2:] - values[:-2]) / span
+    return distances
 
 
 def crowding_distance_python(objectives: Sequence[Sequence[float]]) -> np.ndarray:
-    """The pure-Python oracle crowding distance (historical implementation)."""
+    """Reference crowding distance: one neighbour gap at a time in plain Python.
+
+    Defines the summation order :func:`crowding_distance` reproduces.
+    """
     count = len(objectives)
     if count == 0:
         return np.zeros(0)
@@ -273,34 +247,6 @@ def crowding_distance_python(objectives: Sequence[Sequence[float]]) -> np.ndarra
             distances[order[position]] += (
                 values[position + 1] - values[position - 1]
             ) / span
-    return distances
-
-
-def crowding_distance_numpy(objectives: np.ndarray) -> np.ndarray:
-    """Vectorized crowding distance over an ``(N, M)`` objective matrix.
-
-    Per objective column: one stable ``argsort``, the neighbour gaps as a
-    single ``values[2:] - values[:-2]`` slice difference, scattered back with
-    one fancy-indexed add.  Objectives accumulate in column order with the
-    same elementwise operations as the oracle, so the distances match to
-    0 ulp.
-    """
-    matrix = np.asarray(objectives, dtype=float)
-    count = matrix.shape[0]
-    if count == 0:
-        return np.zeros(0)
-    matrix = np.where(np.isfinite(matrix), matrix, _INF_CLAMP)
-    distances = np.zeros(count)
-    order = np.argsort(matrix, axis=0, kind="stable")
-    for objective in range(matrix.shape[1]):
-        column_order = order[:, objective]
-        values = matrix[column_order, objective]
-        distances[column_order[0]] = np.inf
-        distances[column_order[-1]] = np.inf
-        span = values[-1] - values[0]
-        if span <= 0.0 or count < 3:
-            continue
-        distances[column_order[1:-1]] += (values[2:] - values[:-2]) / span
     return distances
 
 

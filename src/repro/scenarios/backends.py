@@ -173,12 +173,8 @@ def build_mapping(
 class Nsga2Backend:
     """The paper's NSGA-II exploration behind the uniform backend interface.
 
-    Options (all optional):
-
-    ``engine``
-        ``"batch"`` (default) runs the vectorized population engine;
-        ``"scalar"`` evaluates chromosome by chromosome through the readable
-        reference path (slow — determinism/equivalence checks only).
+    Takes no options; the GA is configured by the scenario's ``genetic``
+    parameters.
     """
 
     name = "nsga2"
@@ -186,17 +182,15 @@ class Nsga2Backend:
     def run(
         self, evaluator: AllocationEvaluator, parameters: OptimizerParameters
     ) -> ExplorationResult:
-        options = dict(parameters.options)
-        engine = options.pop("engine", "batch")
-        if options:
+        if parameters.options:
             raise ScenarioError(
-                f"unknown options for optimizer {self.name!r}: {sorted(options)}"
+                f"unknown options for optimizer {self.name!r}: "
+                f"{sorted(parameters.options)}"
             )
         optimizer = Nsga2Optimizer(
             evaluator=evaluator,
             parameters=parameters.genetic,
             objective_keys=parameters.objective_keys,
-            engine=str(engine),
         )
         return ExplorationResult(
             wavelength_count=evaluator.wavelength_count,

@@ -168,6 +168,13 @@ class ResultStore:
                     f"result store {self._path} predates schema tracking "
                     f"(no store_meta table); rebuild it with {STORE_SCHEMA!r}"
                 )
+            # A store already at the current schema opens with reads only, so
+            # opening it never waits for another connection's write lock.
+            schema = self._schema() if existing else None
+            if schema == STORE_SCHEMA:
+                return
+            if schema is not None and schema not in MIGRATABLE_SCHEMAS:
+                raise self._schema_error(schema)
             self._connection.executescript(_TABLES)
             # INSERT OR IGNORE so two processes racing to initialise a fresh
             # database both succeed; the re-read below validates whatever won.
@@ -187,10 +194,8 @@ class ResultStore:
                     "INSERT OR IGNORE INTO store_meta (key, value) VALUES (?, '0')",
                     (counter,),
                 )
-            row = self._connection.execute(
-                "SELECT value FROM store_meta WHERE key='schema'"
-            ).fetchone()
-            if row[0] in MIGRATABLE_SCHEMAS:
+            schema = self._schema()
+            if schema in MIGRATABLE_SCHEMAS:
                 # The executescript above already created the tables this
                 # schema adds; stamping the new identifier completes the
                 # in-place upgrade (older builds will then refuse the file,
@@ -199,12 +204,22 @@ class ResultStore:
                     "UPDATE store_meta SET value = ? WHERE key='schema'",
                     (STORE_SCHEMA,),
                 )
-            elif row[0] != STORE_SCHEMA:
-                raise StoreError(
-                    f"result store {self._path} uses schema {row[0]!r}; "
-                    f"this build reads {STORE_SCHEMA!r} — run its matching "
-                    f"version or export/re-import the documents"
-                )
+            elif schema != STORE_SCHEMA:
+                raise self._schema_error(schema)
+
+    def _schema(self) -> Optional[str]:
+        """The schema identifier stamped in ``store_meta`` (None before stamping)."""
+        row = self._connection.execute(
+            "SELECT value FROM store_meta WHERE key='schema'"
+        ).fetchone()
+        return None if row is None else str(row[0])
+
+    def _schema_error(self, schema: Optional[str]) -> StoreError:
+        return StoreError(
+            f"result store {self._path} uses schema {schema!r}; "
+            f"this build reads {STORE_SCHEMA!r} — run its matching "
+            f"version or export/re-import the documents"
+        )
 
     # -------------------------------------------------------------------- meta
     @property

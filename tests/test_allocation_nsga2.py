@@ -98,38 +98,57 @@ class TestRun:
 
 
 class TestOperators:
-    def test_crossover_preserves_shape_and_genes(self, optimizer, evaluator):
-        import numpy as np
+    """The genetic operators on the population matrices the GA runs."""
 
-        rng = np.random.default_rng(0)
-        parent_a = evaluator.random_chromosome(rng)
-        parent_b = evaluator.random_chromosome(rng)
-        child_a, child_b = optimizer._crossover(parent_a, parent_b)
-        assert len(child_a) == len(parent_a)
-        assert len(child_b) == len(parent_b)
-        # Gene multiset is conserved position-wise across the pair.
-        for position in range(len(parent_a)):
-            assert {child_a.genes[position], child_b.genes[position]} == {
-                parent_a.genes[position],
-                parent_b.genes[position],
-            }
-
-    def test_mutation_changes_at_least_one_gene(self, optimizer, evaluator):
-        import numpy as np
-
-        rng = np.random.default_rng(1)
-        chromosome = evaluator.random_chromosome(rng)
-        mutated = optimizer._mutate(chromosome)
-        assert mutated.communication_count == chromosome.communication_count
-        assert mutated != chromosome
-
-    def test_zero_mutation_probability_is_identity(self, evaluator):
+    def test_crossover_preserves_shape_and_genes(self, evaluator):
         import numpy as np
 
         optimizer = Nsga2Optimizer(
             evaluator,
-            GeneticParameters(population_size=16, generations=1, mutation_probability=0.0),
+            GeneticParameters(
+                population_size=16,
+                generations=1,
+                crossover_probability=1.0,
+                mutation_probability=0.0,
+            ),
         )
-        rng = np.random.default_rng(2)
-        chromosome = evaluator.random_chromosome(rng)
-        assert optimizer._mutate(chromosome) == chromosome
+        population = optimizer._initial_population_matrix()
+        objectives = evaluator.batch().evaluate_population(population).objective_matrix()
+        winners = []
+        tournament = optimizer._tournament
+
+        def recording(rank, distance):
+            winners.append(tournament(rank, distance))
+            return winners[-1]
+
+        optimizer._tournament = recording
+        offspring = optimizer._make_offspring(population, objectives)
+        assert offspring.shape == population.shape
+        assert offspring.dtype == np.uint8
+        # Without mutation each offspring pair is a two-point crossover of
+        # its tournament winners: the gene multiset is conserved position by
+        # position across the pair.
+        changed = 0
+        for pair in range(len(offspring) // 2):
+            children = offspring[2 * pair : 2 * pair + 2]
+            parents = population[winners[2 * pair : 2 * pair + 2]]
+            assert np.array_equal(np.sort(children, axis=0), np.sort(parents, axis=0))
+            changed += not np.array_equal(children, parents)
+        assert changed > 0
+
+    def test_mutation_changes_at_least_one_gene(self, optimizer, evaluator):
+        import numpy as np
+
+        genome = evaluator.communication_count * evaluator.wavelength_count
+        # A probability this small almost never flips a gene on its own; the
+        # forced single flip must kick in.
+        for probability in (1e-9, 0.05):
+            for _ in range(20):
+                flips = optimizer._draw_flips(probability)
+                assert flips.shape == (genome,)
+                assert np.count_nonzero(flips) >= 1
+
+    def test_zero_mutation_probability_is_identity(self, optimizer):
+        flips = optimizer._draw_flips(0.0)
+        assert flips.dtype == bool
+        assert not flips.any()

@@ -1,10 +1,12 @@
 """Determinism of the vectorized NSGA-II and its evaluation telemetry.
 
-The golden check of the vectorization refactor: with a fixed seed, the batch
-engine must walk exactly the same populations as the scalar reference engine
-(the two share one operator implementation and one random stream — only the
-objective arithmetic differs, at floating-point summation-order level), and
-repeated runs must be bit-identical.
+The golden check of the vectorization refactor: with a fixed seed, the
+production optimiser must walk exactly the same populations as the scalar GA
+reference (the ``scalar_reference`` fixture of ``conftest.py``: the same
+optimiser scoring row by row through the scalar evaluator and selecting with
+the pure-Python oracles — only the objective arithmetic differs, at
+floating-point summation-order level), and repeated runs must be
+bit-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.allocation import (
 )
 from repro.application import paper_mapping, paper_task_graph
 from repro.config import GeneticParameters
-from repro.errors import AllocationError
+from repro.errors import ScenarioError
 from repro.scenarios import Scenario, Study, execute_scenario
 from repro.topology import RingOnocArchitecture
 
@@ -44,18 +46,20 @@ class TestGoldenDeterminism:
             s.chromosome.genes for s in second.final_population
         ]
 
-    def test_batch_front_matches_scalar_reference_run(self, paper_evaluator):
+    def test_batch_front_matches_scalar_reference_run(
+        self, paper_evaluator, scalar_reference
+    ):
         """Same seed, before/after vectorization: identical fronts.
 
-        The scalar engine reproduces the historical chromosome-at-a-time
+        The scalar reference reproduces the historical chromosome-at-a-time
         evaluation path; the batch engine must discover exactly the same
         chromosome sets, with objectives equal to tight tolerance.
         """
         parameters = GeneticParameters.smoke_test(seed=42)
-        batch = Nsga2Optimizer(paper_evaluator, parameters, engine="batch").run()
-        scalar = Nsga2Optimizer(paper_evaluator, parameters, engine="scalar").run()
+        batch = Nsga2Optimizer(paper_evaluator, parameters).run()
+        with scalar_reference():
+            scalar = Nsga2Optimizer(paper_evaluator, parameters).run()
 
-        assert batch.engine == "batch" and scalar.engine == "scalar"
         # Identical search trajectory: same unique valid chromosomes, same
         # final population, same Pareto-front membership.
         assert batch.unique_valid_solutions.keys() == scalar.unique_valid_solutions.keys()
@@ -76,8 +80,10 @@ class TestGoldenDeterminism:
         )
 
     def test_unknown_engine_rejected(self, paper_evaluator):
-        with pytest.raises(AllocationError):
-            Nsga2Optimizer(paper_evaluator, engine="quantum")
+        """There is one evaluation path: no ``engine`` keyword is accepted."""
+        for engine in ("batch", "scalar"):
+            with pytest.raises(TypeError):
+                Nsga2Optimizer(paper_evaluator, engine=engine)
 
 
 class TestArrayBooks:
@@ -125,10 +131,11 @@ class TestArrayBooks:
             # Front members are the very objects the run-wide map serves.
             assert result.unique_valid_solutions[solution.chromosome.genes] is solution
 
-    def test_books_match_the_scalar_engine(self, paper_evaluator):
+    def test_books_match_the_scalar_engine(self, paper_evaluator, scalar_reference):
         parameters = GeneticParameters.smoke_test(seed=42)
-        batch = Nsga2Optimizer(paper_evaluator, parameters, engine="batch").run()
-        scalar = Nsga2Optimizer(paper_evaluator, parameters, engine="scalar").run()
+        batch = Nsga2Optimizer(paper_evaluator, parameters).run()
+        with scalar_reference():
+            scalar = Nsga2Optimizer(paper_evaluator, parameters).run()
         assert len(batch.unique_valid_solutions) == len(scalar.unique_valid_solutions)
         assert list(batch.unique_valid_solutions) == list(scalar.unique_valid_solutions)
         for key, solution in batch.unique_valid_solutions.items():
@@ -164,17 +171,17 @@ class TestArrayBooks:
         with pytest.raises(TypeError):
             books[next(iter(books))] = None  # read-only
 
-    def test_second_run_books_only_its_own_discoveries(self, paper_evaluator):
+    def test_second_run_books_only_its_own_discoveries(
+        self, paper_evaluator, scalar_reference
+    ):
         """The memo spans runs of one optimiser; each run's books do not."""
         parameters = GeneticParameters(population_size=12, generations=3, seed=4)
-        runs = {}
-        for engine in ("batch", "scalar"):
-            optimizer = Nsga2Optimizer(paper_evaluator, parameters, engine=engine)
-            runs[engine] = (optimizer.run(), optimizer.run())
-        (batch_first, batch_second), (scalar_first, scalar_second) = (
-            runs["batch"],
-            runs["scalar"],
-        )
+        optimizer = Nsga2Optimizer(paper_evaluator, parameters)
+        batch_first, batch_second = optimizer.run(), optimizer.run()
+        with scalar_reference():
+            optimizer = Nsga2Optimizer(paper_evaluator, parameters)
+            optimizer.run()
+            scalar_second = optimizer.run()
         assert not set(batch_first.unique_valid_solutions) & set(
             batch_second.unique_valid_solutions
         )
@@ -277,20 +284,17 @@ class TestStudySurface:
         assert small.evaluations == large.evaluations == 9
         assert small.best_time_kcycles == large.best_time_kcycles
 
-    def test_scalar_engine_option_reaches_backend(self):
+    def test_engine_option_rejected(self):
+        """The ``nsga2`` backend takes no options; ``engine`` is unknown."""
         scenario = (
             Scenario.builder()
-            .named("scalar-engine")
+            .named("engine-option")
             .grid(4, 4)
             .wavelengths(4)
             .genetic(population_size=8, generations=2)
-            .optimizer("nsga2", engine="scalar")
+            .optimizer("nsga2", engine="batch")
             .seed(5)
             .build()
         )
-        batch_summary = execute_scenario(
-            scenario.derive(optimizer_options={"engine": "batch"})
-        ).summary()
-        scalar_summary = execute_scenario(scenario).summary()
-        assert scalar_summary.valid_solution_count == batch_summary.valid_solution_count
-        assert scalar_summary.evaluations == batch_summary.evaluations
+        with pytest.raises(ScenarioError, match="engine"):
+            execute_scenario(scenario)

@@ -1,11 +1,11 @@
 """Equivalence and telemetry tests of the vectorized Pareto selection kernels.
 
-The selection path mirrors the batch/scalar evaluator split: the pure-Python
-sort/crowding/front implementations are the semantic oracle, the NumPy
-broadcast kernels must reproduce them *exactly* — fronts in identical index
-order, crowding distances to 0 ulp, Pareto-front membership and item order bit
-for bit.  The randomized suite here drives both through objective matrices with
-``inf`` rows, duplicate vectors, 1–4 objectives and degenerate sizes.
+The pure-Python reference sort/crowding/front implementations are the
+semantic oracle; the production NumPy broadcast kernels must reproduce them
+*exactly* — fronts in identical index order, crowding distances to 0 ulp,
+Pareto-front membership and item order bit for bit.  The randomized suite
+here drives both through objective matrices with ``inf`` rows, duplicate
+vectors, 1–4 objectives and degenerate sizes.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from repro.allocation import (
     Nsga2Optimizer,
     ParetoFront,
     crowding_distance,
-    crowding_distance_numpy,
     crowding_distance_python,
     dominance_matrix,
     dominates,
     non_dominated_sort,
-    non_dominated_sort_numpy,
     non_dominated_sort_python,
 )
+from repro.allocation import nsga2, pareto
 from repro.allocation.exhaustive import exhaustive_pareto_front
 from repro.analysis import coverage
 from repro.application import paper_mapping, paper_task_graph
@@ -112,29 +111,24 @@ class TestSortEquivalence:
             count = int(rng.integers(0, 70))
             matrix = random_objective_matrix(rng, count, objectives)
             oracle = non_dominated_sort_python([tuple(row) for row in matrix])
-            vectorized = non_dominated_sort_numpy(matrix)
+            vectorized = non_dominated_sort(matrix)
             assert vectorized == oracle
 
     def test_empty_and_single(self):
-        assert non_dominated_sort_numpy(np.zeros((0, 3))) == []
-        assert non_dominated_sort_numpy(np.asarray([[1.0, 2.0]])) == [[0]]
+        assert non_dominated_sort(np.zeros((0, 3))) == []
+        assert non_dominated_sort(np.asarray([[1.0, 2.0]])) == [[0]]
 
     def test_all_infinite_rows(self):
         matrix = np.full((4, 3), np.inf)
-        assert non_dominated_sort_numpy(matrix) == non_dominated_sort_python(
+        assert non_dominated_sort(matrix) == non_dominated_sort_python(
             [tuple(row) for row in matrix]
         )
 
-    def test_dispatch_engines_agree(self):
-        rng = np.random.default_rng(7)
-        matrix = random_objective_matrix(rng, 40, 3)
-        assert non_dominated_sort(matrix, engine="vectorized") == non_dominated_sort(
-            [tuple(row) for row in matrix], engine="python"
-        )
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            non_dominated_sort([(1.0, 2.0)], engine="quantum")
+        """The sort is the vectorized kernel; it takes no ``engine`` switch."""
+        for engine in ("vectorized", "python"):
+            with pytest.raises(TypeError):
+                non_dominated_sort([(1.0, 2.0)], engine=engine)
 
 
 class TestCrowdingEquivalence:
@@ -145,26 +139,28 @@ class TestCrowdingEquivalence:
             count = int(rng.integers(0, 70))
             matrix = random_objective_matrix(rng, count, objectives)
             oracle = crowding_distance_python([tuple(row) for row in matrix])
-            vectorized = crowding_distance_numpy(matrix)
+            vectorized = crowding_distance(matrix)
             # np.array_equal treats equal inf as equal and NaN as unequal, so
             # this is an exact 0-ulp comparison.
             assert np.array_equal(oracle, vectorized)
 
     def test_degenerate_fronts(self):
-        assert crowding_distance_numpy(np.zeros((0, 2))).size == 0
+        assert crowding_distance(np.zeros((0, 2))).size == 0
         assert np.array_equal(
-            crowding_distance_numpy(np.asarray([[1.0, 2.0]])),
+            crowding_distance(np.asarray([[1.0, 2.0]])),
             crowding_distance_python([(1.0, 2.0)]),
         )
         duplicate = np.asarray([[1.0, 1.0]] * 4)
         assert np.array_equal(
-            crowding_distance_numpy(duplicate),
+            crowding_distance(duplicate),
             crowding_distance_python([tuple(row) for row in duplicate]),
         )
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            crowding_distance([(1.0, 2.0)], engine="quantum")
+        """Crowding is the vectorized kernel; it takes no ``engine`` switch."""
+        for engine in ("vectorized", "python"):
+            with pytest.raises(TypeError):
+                crowding_distance([(1.0, 2.0)], engine=engine)
 
 
 class TestFrontBatchedExtend:
@@ -366,16 +362,24 @@ class TestPhaseTelemetry:
 
 
 class TestScalarEngineKernels:
-    def test_scalar_engine_routes_through_python_oracle(self, paper_evaluator):
-        optimizer = Nsga2Optimizer(paper_evaluator, engine="scalar")
-        assert optimizer._kernel_engine == "python"
-        optimizer = Nsga2Optimizer(paper_evaluator, engine="batch")
-        assert optimizer._kernel_engine == "vectorized"
+    def test_scalar_engine_routes_through_python_oracle(self, scalar_reference):
+        """The test-side scalar reference selects with the oracles, and only
+        inside its block; production always runs the vectorized kernels."""
+        assert nsga2.non_dominated_sort is pareto.non_dominated_sort
+        assert nsga2.crowding_distance is pareto.crowding_distance
+        with scalar_reference():
+            assert nsga2.non_dominated_sort is non_dominated_sort_python
+            assert nsga2.crowding_distance is crowding_distance_python
+        assert nsga2.non_dominated_sort is pareto.non_dominated_sort
+        assert nsga2.crowding_distance is pareto.crowding_distance
 
-    def test_engines_walk_identical_selection_trajectories(self, paper_evaluator):
+    def test_engines_walk_identical_selection_trajectories(
+        self, paper_evaluator, scalar_reference
+    ):
         parameters = GeneticParameters.smoke_test(seed=42)
-        batch = Nsga2Optimizer(paper_evaluator, parameters, engine="batch").run()
-        scalar = Nsga2Optimizer(paper_evaluator, parameters, engine="scalar").run()
+        batch = Nsga2Optimizer(paper_evaluator, parameters).run()
+        with scalar_reference():
+            scalar = Nsga2Optimizer(paper_evaluator, parameters).run()
         # The run-wide fronts hold the same solutions; objectives only differ
         # by the evaluator engines' floating-point summation order (≤1 ulp),
         # exactly as the batch-vs-scalar evaluator goldens allow.

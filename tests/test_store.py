@@ -163,6 +163,22 @@ class TestResultStore:
         with pytest.raises(StoreError, match="store_meta"):
             ResultStore(path)
 
+    def test_open_does_not_wait_for_another_writer(self, tmp_path, smoke_result):
+        """Opening a current-schema store only reads, so a held write lock
+        (another process mid-transaction) neither delays nor fails it."""
+        path = tmp_path / "busy.sqlite"
+        with ResultStore(path) as store:
+            store.put(smoke_result)
+        writer = sqlite3.connect(path, isolation_level=None)
+        try:
+            writer.execute("BEGIN IMMEDIATE")
+            with ResultStore(path, timeout=0.2) as store:
+                assert len(store) == 1
+                assert store.peek(smoke_result.fingerprint) == smoke_result
+        finally:
+            writer.execute("ROLLBACK")
+            writer.close()
+
     def test_corrupt_row_rejected_on_read(self, tmp_path, smoke_result):
         path = tmp_path / "s.sqlite"
         with ResultStore(path) as store:
