@@ -24,8 +24,18 @@ on the vectorized kernels of :mod:`~repro.allocation.pareto`.  This is the
 only production path; the readable references live in the tests:
 ``tests/test_nsga2_vectorization.py`` and ``tests/test_selection_kernels.py``
 rerun this optimiser with every population scored row by row through the
-scalar :class:`~repro.allocation.objectives.AllocationEvaluator` and with the
-pure-Python sort/crowding oracles, and assert the same search trajectory.
+scalar :class:`~repro.allocation.objectives.AllocationEvaluator`, with the
+pure-Python sort/crowding oracles and with the per-pair operator loop, and
+assert the same search trajectory.
+
+The operators' random draws are replayed from raw PCG64 words: one block of
+``bit_generator.random_raw`` words per generation is walked with numpy's own
+double and bounded-integer algorithms (:class:`_RawDraws`), so the offspring
+and the generator state equal those of a loop that calls the generator's
+methods per tournament, crossover and mutation row.  That loop is the
+``offspring_reference`` oracle in ``tests/conftest.py``;
+``tests/test_offspring_draws.py`` checks the two agree.  The replay is
+PCG64-only; the optimiser always builds its own ``default_rng`` (PCG64).
 
 The optimiser also keeps the run-wide books the paper reports in Table II:
 every *unique valid* chromosome ever evaluated, and the Pareto front across all
@@ -195,6 +205,115 @@ class _EvalRecord(NamedTuple):
     objectives: Tuple[float, ...]
     #: Row of the valid-solution books, ``-1`` for an invalid chromosome.
     book_row: int
+
+
+_LOW32 = 0xFFFFFFFF
+_TWO_32 = 1 << 32
+_DOUBLE_SCALE = 2.0**-53
+
+
+class _RawDraws:
+    """A PCG64 generator's own draws, replayed from a block of its raw words.
+
+    Walks the words with numpy's algorithms, so every value equals the one
+    the generator's methods would return from the same state:
+
+    * ``random()`` is ``(word >> 11) * 2**-53`` of one whole word;
+    * 32-bit draws take the low half of a word and keep the high half for
+      the next 32-bit draw (``has_uint32``/``uinteger``), across any doubles
+      drawn in between;
+    * ``integers(0, n)`` for ``n < 2**32`` is Lemire's method on those
+      32-bit draws: it rejects while the low half of ``draw * n`` is below
+      ``(2**32 - n) % n`` and draws nothing when ``n == 1``.
+
+    ``below`` marks the words whose double is below ``probability``, with a
+    prefix count so a run of doubles is tested for any hit in O(1).
+    :meth:`commit` puts the generator where the replayed calls would have
+    left it.  The words come from the generator itself; a walk past the
+    block pulls more, so the block size only sets the cost.
+    """
+
+    def __init__(self, rng: np.random.Generator, words: int, probability: float) -> None:
+        bit_generator = rng.bit_generator
+        assert isinstance(bit_generator, np.random.PCG64), "the replay is PCG64-only"
+        self._rng = rng
+        self._entry = bit_generator.state
+        self._has_uint32 = self._entry["has_uint32"]
+        self._uinteger = self._entry["uinteger"]
+        self._probability = probability
+        self._words = np.empty(0, dtype=np.uint64)
+        #: Words consumed so far.
+        self.position = 0
+        self._pull(words)
+
+    def _pull(self, count: int) -> None:
+        """Append the generator's next ``count`` raw words to the block."""
+        fresh = self._rng.bit_generator.random_raw(count)  # repro-lint: allow R001 — replayed by _RawDraws, rewound in commit()
+        self._words = np.concatenate([self._words, fresh])
+        doubles = (self._words >> np.uint64(11)).astype(np.float64)
+        doubles *= _DOUBLE_SCALE
+        self.below = doubles < self._probability
+        self._hits = np.zeros(len(self.below) + 1, dtype=np.int64)
+        np.cumsum(self.below, out=self._hits[1:])
+
+    def _reserve(self, count: int) -> None:
+        missing = self.position + count - len(self._words)
+        if missing > 0:
+            self._pull(max(missing, len(self._words)))
+
+    def _word(self) -> int:
+        self._reserve(1)
+        word = int(self._words[self.position])
+        self.position += 1
+        return word
+
+    def double(self) -> float:
+        """``rng.random()``."""
+        return (self._word() >> 11) * _DOUBLE_SCALE
+
+    def uint32(self) -> int:
+        """One buffered 32-bit draw (PCG64's ``next_uint32``).
+
+        Using the buffer clears ``has_uint32`` but leaves ``uinteger`` as it
+        was, exactly as numpy does, so the committed state matches in full.
+        """
+        if self._has_uint32:
+            self._has_uint32 = 0
+            return self._uinteger
+        word = self._word()
+        self._has_uint32 = 1
+        self._uinteger = word >> 32
+        return word & _LOW32
+
+    def bounded(self, n: int) -> int:
+        """``int(rng.integers(0, n))`` for ``0 < n < 2**32``."""
+        if n == 1:
+            return 0
+        threshold = (_TWO_32 - n) % n
+        while True:
+            scaled = self.uint32() * n
+            if (scaled & _LOW32) >= threshold:
+                return scaled >> 32
+
+    def skip(self, count: int) -> int:
+        """Consume ``count`` doubles (``rng.random(count)``); returns the first word."""
+        self._reserve(count)
+        start = self.position
+        self.position += count
+        return start
+
+    def any_below(self, start: int, count: int) -> bool:
+        """Whether any of the ``count`` doubles from word ``start`` is below ``probability``."""
+        return bool(self._hits[start + count] > self._hits[start])
+
+    def commit(self) -> None:
+        """Leave the generator exactly where the replayed draws would have."""
+        self._rng.bit_generator.state = self._entry  # repro-lint: allow R001 — rewinds the pulled block
+        self._rng.bit_generator.advance(self.position)  # repro-lint: allow R001 — skips the consumed words
+        state = self._rng.bit_generator.state
+        state["has_uint32"] = self._has_uint32
+        state["uinteger"] = self._uinteger
+        self._rng.bit_generator.state = state  # repro-lint: allow R001 — restores the 32-bit buffer
 
 
 class Nsga2Optimizer:
@@ -568,10 +687,16 @@ class Nsga2Optimizer:
     ) -> np.ndarray:
         """One generation of offspring on population matrices.
 
-        The random draws happen pair by pair in exactly the sequence the
-        historical chromosome-at-a-time implementation used, so a fixed seed
-        reproduces the same populations it produced; the gene work itself
-        (segment swaps, bit flips) is applied to whole matrices at once.
+        Each pair draws, in this order: two tournaments of
+        ``tournament_size`` contenders, a crossover decision and, if it
+        fires, two segment bounds; then each child draws ``genome`` doubles
+        for its mutation row and one forced flip position when none fired.
+        Every value equals the generator method's own (the per-pair loop
+        ``offspring_reference`` in the tests), so a fixed seed reproduces
+        the same populations.  :class:`_RawDraws` replays them from one
+        block of raw words; the walk below reads only the tournament,
+        crossover and forced-flip draws, and the gene work runs on whole
+        matrices.
         """
         rank, distance = self._rank_and_distance(objectives)
         with timed_span(
@@ -580,64 +705,66 @@ class Nsga2Optimizer:
             registry=self._metrics,
             phase="operator",
         ):
-            target = self._parameters.population_size
+            parameters = self._parameters
+            target = parameters.population_size
             pair_count = (target + 1) // 2
-            winners = np.empty(2 * pair_count, dtype=int)
-            swap_bounds = np.zeros((pair_count, 2), dtype=int)
-            flip_rows: List[np.ndarray] = []
-            probability = self._parameters.mutation_probability
+            size = parameters.tournament_size
+            genome = self._genome
+            probability = parameters.mutation_probability
+            mutating = probability > 0.0
+            pool = len(rank)
+            with span("engine.operator.draws"):
+                # Words one generation needs unless a bounded draw rejects.
+                words = pair_count * (size + 3 + (2 * genome if mutating else 0)) + 1
+                draws = _RawDraws(self._rng, words, probability)
+                contenders: List[int] = []
+                swap_bounds = np.zeros((pair_count, 2), dtype=int)
+                starts: List[int] = []
+                forced_rows: List[int] = []
+                forced_genes: List[int] = []
+                for pair in range(pair_count):
+                    contenders.extend(draws.bounded(pool) for _ in range(2 * size))
+                    if draws.double() < parameters.crossover_probability:
+                        first = draws.bounded(genome)
+                        swap_bounds[pair] = sorted((first, draws.bounded(genome)))
+                    if not mutating:
+                        continue
+                    for row in range(2 * pair, min(2 * pair + 2, target)):
+                        start = draws.skip(genome)
+                        starts.append(start)
+                        if not draws.any_below(start, genome):
+                            # The paper's mutation always inverts one point.
+                            forced_rows.append(row)
+                            forced_genes.append(draws.bounded(genome))
+                draws.commit()
 
-            produced = 0
-            for pair in range(pair_count):
-                winners[2 * pair] = self._tournament(rank, distance)
-                winners[2 * pair + 1] = self._tournament(rank, distance)
-                if self._rng.random() < self._parameters.crossover_probability:
-                    lower, upper = sorted(
-                        self._rng.integers(0, self._genome, size=2)
+            with span("engine.operator.genes"):
+                drawn = np.array(contenders).reshape(2 * pair_count, size)
+                winners = drawn[:, 0]
+                for column in range(1, size):
+                    challenger = drawn[:, column]
+                    better = (rank[challenger] < rank[winners]) | (
+                        (rank[challenger] == rank[winners])
+                        & (distance[challenger] > distance[winners])
                     )
-                    swap_bounds[pair] = (lower, upper)
-                for _ in range(min(2, target - produced)):
-                    flip_rows.append(self._draw_flips(probability))
-                    produced += 1
-
-            parents_a = population[winners[0::2]]
-            parents_b = population[winners[1::2]]
-            positions = np.arange(self._genome)[None, :]
-            swap = (positions >= swap_bounds[:, 0:1]) & (
-                positions < swap_bounds[:, 1:2]
-            )
-            offspring = np.empty((2 * pair_count, self._genome), dtype=np.uint8)
-            offspring[0::2] = np.where(swap, parents_b, parents_a)
-            offspring[1::2] = np.where(swap, parents_a, parents_b)
-            offspring = offspring[:target]
-            if flip_rows and probability > 0.0:
-                flips = np.stack(flip_rows)
-                offspring = np.where(flips, 1 - offspring, offspring).astype(np.uint8)
+                    winners = np.where(better, challenger, winners)
+                parents_a = population[winners[0::2]]
+                parents_b = population[winners[1::2]]
+                positions = np.arange(genome)[None, :]
+                swap = (positions >= swap_bounds[:, 0:1]) & (
+                    positions < swap_bounds[:, 1:2]
+                )
+                offspring = np.empty((2 * pair_count, genome), dtype=np.uint8)
+                offspring[0::2] = np.where(swap, parents_b, parents_a)
+                offspring[1::2] = np.where(swap, parents_a, parents_b)
+                offspring = offspring[:target]
+                if mutating:
+                    flips = draws.below[np.add.outer(starts, np.arange(genome))]
+                    flips[forced_rows, forced_genes] = True
+                    offspring = np.where(flips, 1 - offspring, offspring).astype(
+                        np.uint8
+                    )
         return np.ascontiguousarray(offspring)
-
-    def _tournament(self, rank: np.ndarray, distance: np.ndarray) -> int:
-        """Binary (or larger) tournament on (rank, crowding distance)."""
-        contenders = self._rng.integers(
-            0, len(rank), size=self._parameters.tournament_size
-        )
-        best = int(contenders[0])
-        for contender in contenders[1:]:
-            contender = int(contender)
-            if rank[contender] < rank[best]:
-                best = contender
-            elif rank[contender] == rank[best] and distance[contender] > distance[best]:
-                best = contender
-        return best
-
-    def _draw_flips(self, probability: float) -> np.ndarray:
-        """Mutation mask of one offspring row (always at least one flip)."""
-        if probability <= 0.0:
-            return np.zeros(self._genome, dtype=bool)
-        flips = self._rng.random(self._genome) < probability
-        if not flips.any():
-            # The paper's mutation always inverts one randomly chosen point.
-            flips[self._rng.integers(0, self._genome)] = True
-        return flips
 
     def _record(
         self,

@@ -572,7 +572,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect a JSONL span trace (written with --trace or REPRO_TRACE)",
     )
     telemetry.add_argument(
-        "trace_file", help="path to the JSONL trace file to analyse"
+        "trace_file", nargs="?", help="path to the JSONL trace file to analyse"
+    )
+    telemetry.add_argument(
+        "--compare",
+        nargs=2,
+        metavar=("A", "B"),
+        default=None,
+        help="instead, compare two traces: per-span count and total_s of A "
+        "and B, with delta and ratio, largest |delta| first",
     )
     telemetry.add_argument(
         "--csv",
@@ -1425,11 +1433,21 @@ def _command_telemetry(args: argparse.Namespace) -> int:
     from .telemetry.report import (
         aggregate_spans,
         build_span_tree,
+        compare_spans,
         load_trace,
         render_span_tree,
         span_rows,
     )
 
+    if (args.trace_file is None) == (args.compare is None):
+        raise ReproError("give either a trace file or --compare A B")
+    if args.compare is not None:
+        before, after = args.compare
+        print(f"A = {before}\nB = {after}\n")
+        rows = compare_spans(load_trace(before), load_trace(after))
+        print(format_table(rows))
+        _maybe_write_csv(args, rows)
+        return 0
     records = load_trace(args.trace_file)
     if not records:
         print(f"no spans in {args.trace_file}")

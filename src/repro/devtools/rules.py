@@ -150,6 +150,20 @@ _NUMPY_LEGACY = {
 }
 
 
+#: Bit-generator methods that read or move the raw stream directly.
+_RAW_STREAM_CALLS = {"random_raw", "advance"}
+
+
+def _is_bit_generator_state(target: ast.AST) -> bool:
+    """Whether an assignment target is ``<x>.bit_generator.state``."""
+    return (
+        isinstance(target, ast.Attribute)
+        and target.attr == "state"
+        and isinstance(target.value, ast.Attribute)
+        and target.value.attr == "bit_generator"
+    )
+
+
 class DeterminismRule(Rule):
     id = "R001"
     title = "stochastic code must be seeded"
@@ -158,7 +172,10 @@ Warm starts are keyed by scenario fingerprints, so the same scenario must
 produce bit-identical results on every run.  Inside `src/repro` that bans
 unseeded entropy: `np.random.default_rng()` without a seed, the legacy
 global-state `np.random.*` samplers, and the stdlib `random` module.
-Stochastic code must accept a seed or an `np.random.Generator`."""
+Stochastic code must accept a seed or an `np.random.Generator`.  Raw
+bit-generator access — `.random_raw(...)`, `.advance(...)` and assignment
+to `<x>.bit_generator.state` — moves a stream outside the Generator API,
+so it needs an allow marker saying how the stream stays exact."""
     bad_fixture = {
         "src/repro/sampling.py": (
             "import random\n"
@@ -170,6 +187,9 @@ Stochastic code must accept a seed or an `np.random.Generator`."""
             "\n"
             "def pick(values):\n"
             "    return values[np.random.randint(len(values))]\n"
+            "\n"
+            "def skip(rng, words):\n"
+            "    rng.bit_generator.advance(words)\n"
         ),
     }
     good_fixture = {
@@ -190,7 +210,27 @@ Stochastic code must accept a seed or an `np.random.Generator`."""
             return
         assert file.tree is not None
         for node in ast.walk(file.tree):
+            if isinstance(node, ast.Assign):
+                if any(_is_bit_generator_state(target) for target in node.targets):
+                    yield file.violation(
+                        node,
+                        self.id,
+                        "assignment to `bit_generator.state` rewrites the "
+                        "stream; allow-mark it with how it stays exact",
+                    )
+                continue
             if not isinstance(node, ast.Call):
+                continue
+            if (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in _RAW_STREAM_CALLS
+            ):
+                yield file.violation(
+                    node,
+                    self.id,
+                    f"raw bit-generator call `.{node.func.attr}()` bypasses the "
+                    "Generator API; allow-mark it with how the stream stays exact",
+                )
                 continue
             name = file.resolve_call(node.func)
             if name is None:

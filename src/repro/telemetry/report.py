@@ -5,7 +5,8 @@ stream of completed spans (children are written *before* their parents,
 because a span's line is emitted when it closes); :func:`build_span_tree`
 re-nests them via ``parent`` ids, and :func:`aggregate_spans` folds the
 stream into per-name totals whose sums agree with the registry-derived
-phase seconds of the run that produced the trace.
+phase seconds of the run that produced the trace.  :func:`compare_spans`
+sets the per-name totals of two traces side by side (``--compare``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "SpanNode",
     "aggregate_spans",
     "build_span_tree",
+    "compare_spans",
     "load_trace",
     "render_span_tree",
     "span_rows",
@@ -118,6 +120,41 @@ def aggregate_spans(records: List[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     rows = sorted(totals.values(), key=lambda r: -r["total_seconds"])
     for row in rows:
         row["mean_seconds"] = row["total_seconds"] / row["count"]
+    return rows
+
+
+def compare_spans(
+    before: List[Mapping[str, Any]], after: List[Mapping[str, Any]]
+) -> List[Dict[str, Any]]:
+    """Per-name count and total seconds of two traces, largest change first.
+
+    ``ratio`` is B over A total seconds, ``None`` when A has no time in
+    the span; a name missing from one side counts zero there.
+    """
+    empty = {"count": 0, "total_seconds": 0.0}
+    sides = [
+        {row["name"]: row for row in aggregate_spans(records)}
+        for records in (before, after)
+    ]
+    rows: List[Dict[str, Any]] = []
+    for name in set(sides[0]) | set(sides[1]):
+        a, b = (side.get(name, empty) for side in sides)
+        rows.append(
+            {
+                "span": name,
+                "count_a": a["count"],
+                "total_s_a": a["total_seconds"],
+                "count_b": b["count"],
+                "total_s_b": b["total_seconds"],
+                "delta_s": b["total_seconds"] - a["total_seconds"],
+                "ratio": (
+                    b["total_seconds"] / a["total_seconds"]
+                    if a["total_seconds"] > 0.0
+                    else None
+                ),
+            }
+        )
+    rows.sort(key=lambda row: (-abs(row["delta_s"]), row["span"]))
     return rows
 
 

@@ -9,7 +9,7 @@ scoped because ONIs carry mutable receiver state).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, List, Tuple
 
 import numpy as np
 import pytest
@@ -128,12 +128,104 @@ def _evaluate_row_by_row(batch: BatchEvaluator, genes: np.ndarray) -> BatchEvalu
     )
 
 
+def _tournament(
+    rng: np.random.Generator, rank: np.ndarray, distance: np.ndarray, size: int
+) -> int:
+    """Binary (or larger) tournament on (rank, crowding distance)."""
+    contenders = rng.integers(0, len(rank), size=size)
+    best = int(contenders[0])
+    for contender in contenders[1:]:
+        contender = int(contender)
+        if rank[contender] < rank[best]:
+            best = contender
+        elif rank[contender] == rank[best] and distance[contender] > distance[best]:
+            best = contender
+    return best
+
+
+def _draw_flips(rng: np.random.Generator, genome: int, probability: float) -> np.ndarray:
+    """Mutation mask of one offspring row (always at least one flip)."""
+    if probability <= 0.0:
+        return np.zeros(genome, dtype=bool)
+    flips = rng.random(genome) < probability
+    if not flips.any():
+        # The paper's mutation always inverts one randomly chosen point.
+        flips[rng.integers(0, genome)] = True
+    return flips
+
+
+def _reference_offspring(
+    optimizer: nsga2.Nsga2Optimizer, population: np.ndarray, objectives: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``Nsga2Optimizer._make_offspring`` as a per-pair draw loop.
+
+    Each pair draws two tournaments, a crossover decision and, if it fires,
+    ``sorted(integers(0, genome, size=2))`` segment bounds; then each child
+    draws its mutation row.  Every draw goes through the optimiser's own
+    generator methods.  Returns the offspring and the tournament winners.
+    """
+    parameters = optimizer.parameters
+    rng = optimizer._rng
+    genome = optimizer._genome
+    rank, distance = optimizer._rank_and_distance(objectives)
+    target = parameters.population_size
+    pair_count = (target + 1) // 2
+    winners = np.empty(2 * pair_count, dtype=int)
+    swap_bounds = np.zeros((pair_count, 2), dtype=int)
+    flip_rows: List[np.ndarray] = []
+    probability = parameters.mutation_probability
+
+    produced = 0
+    for pair in range(pair_count):
+        winners[2 * pair] = _tournament(rng, rank, distance, parameters.tournament_size)
+        winners[2 * pair + 1] = _tournament(
+            rng, rank, distance, parameters.tournament_size
+        )
+        if rng.random() < parameters.crossover_probability:
+            lower, upper = sorted(rng.integers(0, genome, size=2))
+            swap_bounds[pair] = (lower, upper)
+        for _ in range(min(2, target - produced)):
+            flip_rows.append(_draw_flips(rng, genome, probability))
+            produced += 1
+
+    parents_a = population[winners[0::2]]
+    parents_b = population[winners[1::2]]
+    positions = np.arange(genome)[None, :]
+    swap = (positions >= swap_bounds[:, 0:1]) & (positions < swap_bounds[:, 1:2])
+    offspring = np.empty((2 * pair_count, genome), dtype=np.uint8)
+    offspring[0::2] = np.where(swap, parents_b, parents_a)
+    offspring[1::2] = np.where(swap, parents_a, parents_b)
+    offspring = offspring[:target]
+    if flip_rows and probability > 0.0:
+        flips = np.stack(flip_rows)
+        offspring = np.where(flips, 1 - offspring, offspring).astype(np.uint8)
+    return np.ascontiguousarray(offspring), winners
+
+
+@pytest.fixture
+def offspring_reference():
+    """The per-pair offspring draw loop ``_make_offspring`` replays.
+
+    ``offspring_reference(optimizer, population, objectives)`` returns
+    ``(offspring, winners)`` and leaves the optimiser's generator where the
+    loop's own calls left it.
+    """
+    return _reference_offspring
+
+
 @contextmanager
 def _scalar_reference() -> Iterator[None]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BatchEvaluator, "evaluate_population", _evaluate_row_by_row)
         patch.setattr(nsga2, "non_dominated_sort", non_dominated_sort_python)
         patch.setattr(nsga2, "crowding_distance", crowding_distance_python)
+        patch.setattr(
+            nsga2.Nsga2Optimizer,
+            "_make_offspring",
+            lambda optimizer, population, objectives: _reference_offspring(
+                optimizer, population, objectives
+            )[0],
+        )
         yield
 
 
@@ -142,9 +234,10 @@ def scalar_reference():
     """Context manager turning :class:`Nsga2Optimizer` into the scalar GA reference.
 
     Inside ``with scalar_reference():`` the optimiser scores every population
-    row by row through the scalar :class:`AllocationEvaluator` and selects
-    with the pure-Python sort and crowding oracles.  Operators, random
-    stream, memo and books stay the production code, so a reference run must
-    walk the same search trajectory as a production run with the same seed.
+    row by row through the scalar :class:`AllocationEvaluator`, selects with
+    the pure-Python sort and crowding oracles, and draws its offspring pair
+    by pair through the generator's methods (``offspring_reference``).
+    Memo and books stay the production code, so a reference run must walk
+    the same search trajectory as a production run with the same seed.
     """
     return _scalar_reference

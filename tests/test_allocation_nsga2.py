@@ -100,29 +100,35 @@ class TestRun:
 class TestOperators:
     """The genetic operators on the population matrices the GA runs."""
 
-    def test_crossover_preserves_shape_and_genes(self, evaluator):
+    @staticmethod
+    def _offspring(evaluator, offspring_reference, **parameters):
+        """Production offspring of one generation, plus the oracle's winners.
+
+        Two optimisers with one seed reach the same generator state; one
+        runs ``_make_offspring``, the other the per-pair reference loop.
+        """
         import numpy as np
 
-        optimizer = Nsga2Optimizer(
-            evaluator,
-            GeneticParameters(
-                population_size=16,
-                generations=1,
-                crossover_probability=1.0,
-                mutation_probability=0.0,
-            ),
-        )
+        genetic = GeneticParameters(population_size=16, generations=1, **parameters)
+        optimizer = Nsga2Optimizer(evaluator, genetic)
+        reference = Nsga2Optimizer(evaluator, genetic)
         population = optimizer._initial_population_matrix()
+        assert np.array_equal(reference._initial_population_matrix(), population)
         objectives = evaluator.batch().evaluate_population(population).objective_matrix()
-        winners = []
-        tournament = optimizer._tournament
-
-        def recording(rank, distance):
-            winners.append(tournament(rank, distance))
-            return winners[-1]
-
-        optimizer._tournament = recording
         offspring = optimizer._make_offspring(population, objectives)
+        expected, winners = offspring_reference(reference, population, objectives)
+        assert np.array_equal(offspring, expected)
+        return population, offspring, winners
+
+    def test_crossover_preserves_shape_and_genes(self, evaluator, offspring_reference):
+        import numpy as np
+
+        population, offspring, winners = self._offspring(
+            evaluator,
+            offspring_reference,
+            crossover_probability=1.0,
+            mutation_probability=0.0,
+        )
         assert offspring.shape == population.shape
         assert offspring.dtype == np.uint8
         # Without mutation each offspring pair is a two-point crossover of
@@ -136,19 +142,35 @@ class TestOperators:
             changed += not np.array_equal(children, parents)
         assert changed > 0
 
-    def test_mutation_changes_at_least_one_gene(self, optimizer, evaluator):
+    def test_mutation_changes_at_least_one_gene(self, evaluator, offspring_reference):
         import numpy as np
 
         genome = evaluator.communication_count * evaluator.wavelength_count
         # A probability this small almost never flips a gene on its own; the
-        # forced single flip must kick in.
+        # forced single flip must kick in.  Without crossover every child is
+        # its tournament winner plus the mutation.
         for probability in (1e-9, 0.05):
-            for _ in range(20):
-                flips = optimizer._draw_flips(probability)
-                assert flips.shape == (genome,)
-                assert np.count_nonzero(flips) >= 1
+            for seed in range(2):
+                population, offspring, winners = self._offspring(
+                    evaluator,
+                    offspring_reference,
+                    crossover_probability=0.0,
+                    mutation_probability=probability,
+                    seed=seed,
+                )
+                flips = offspring != population[winners]
+                assert flips.shape == (len(population), genome)
+                assert (np.count_nonzero(flips, axis=1) >= 1).all()
 
-    def test_zero_mutation_probability_is_identity(self, optimizer):
-        flips = optimizer._draw_flips(0.0)
+    def test_zero_mutation_probability_is_identity(self, evaluator, offspring_reference):
+        import numpy as np
+
+        population, offspring, winners = self._offspring(
+            evaluator,
+            offspring_reference,
+            crossover_probability=0.0,
+            mutation_probability=0.0,
+        )
+        flips = offspring != population[winners]
         assert flips.dtype == bool
         assert not flips.any()

@@ -121,6 +121,40 @@ def test_marker_inside_string_literal_is_inert(tmp_path):
     assert violations == []
 
 
+RAW_STREAM_SOURCE = (
+    "def replay(rng, words):\n"
+    "    block = rng.bit_generator.random_raw(words){marker}\n"
+    "    entry = rng.bit_generator.state\n"
+    "    rng.bit_generator.state = entry{marker}\n"
+    "    rng.bit_generator.advance(words){marker}\n"
+    "    return block\n"
+)
+
+
+def test_raw_bit_generator_access_is_flagged(tmp_path):
+    source = RAW_STREAM_SOURCE.format(marker="")
+    violations = _lint_fixture(
+        tmp_path, {"src/repro/replay.py": source}, select=["R001"]
+    )
+    assert [(v.rule, v.line) for v in violations] == [
+        ("R001", 2),
+        ("R001", 4),
+        ("R001", 5),
+    ]
+    # Reading the state is fine; only moving the stream is flagged.
+    assert "bit_generator.state" in violations[1].message
+
+
+def test_raw_bit_generator_access_can_be_allowed(tmp_path):
+    source = RAW_STREAM_SOURCE.format(
+        marker="  # repro-lint: allow R001 — replayed exactly, then committed"
+    )
+    violations = _lint_fixture(
+        tmp_path, {"src/repro/replay.py": source}, select=None
+    )
+    assert violations == []
+
+
 def test_marker_pattern_accepts_separator_variants():
     for separator in ("—", "--", "-", ":"):
         match = MARKER_PATTERN.search(

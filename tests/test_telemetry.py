@@ -37,6 +37,7 @@ from repro.telemetry import (
 from repro.telemetry.report import (
     aggregate_spans,
     build_span_tree,
+    compare_spans,
     load_trace,
     render_span_tree,
     span_rows,
@@ -256,6 +257,7 @@ class TestPhaseAgreement:
         children = {
             "engine.evaluation": ("memo", "kernel", "books"),
             "engine.selection": ("sort", "crowding", "front"),
+            "engine.operator": ("draws", "genes"),
         }
         for phase, parts in children.items():
             phase_total = sum(r["duration"] for r in records if r["name"] == phase)
@@ -271,6 +273,9 @@ class TestPhaseAgreement:
         assert sum(
             r["duration"] for r in records if r["name"] == "engine.evaluation"
         ) == pytest.approx(result.evaluation_seconds, rel=1e-9)
+        assert sum(
+            r["duration"] for r in records if r["name"] == "engine.operator"
+        ) == pytest.approx(result.operator_seconds, rel=1e-9)
 
     def test_engine_counters_match_result_document(self):
         outcome = execute_scenario(smoke_scenario())
@@ -387,6 +392,53 @@ class TestTelemetryCommand:
         out = capsys.readouterr().out
         assert "engine.generation" in out
         assert "scenario.execute" in out
+
+    @staticmethod
+    def _trace(path, spans):
+        configure_tracing(str(path))
+        for name, count in spans:
+            for _ in range(count):
+                with span(name):
+                    time.sleep(0.001 if name == "slow" else 0.0)
+        reset_tracing()
+        return load_trace(str(path))
+
+    def test_compare_rows_sorted_by_absolute_delta(self, tmp_path):
+        before = self._trace(tmp_path / "a.jsonl", [("slow", 5), ("both", 2)])
+        after = self._trace(tmp_path / "b.jsonl", [("both", 3), ("new", 1)])
+        rows = compare_spans(before, after)
+        assert rows[0]["span"] == "slow"
+        by_name = {row["span"]: row for row in rows}
+        assert set(by_name) == {"slow", "both", "new"}
+        slow, both, new = by_name["slow"], by_name["both"], by_name["new"]
+        assert (slow["count_a"], slow["count_b"], slow["total_s_b"]) == (5, 0, 0.0)
+        assert slow["delta_s"] == -slow["total_s_a"] and slow["ratio"] == 0.0
+        assert (both["count_a"], both["count_b"]) == (2, 3)
+        assert both["delta_s"] == pytest.approx(both["total_s_b"] - both["total_s_a"])
+        assert (new["count_a"], new["total_s_a"], new["ratio"]) == (0, 0.0, None)
+        deltas = [abs(row["delta_s"]) for row in rows]
+        assert deltas == sorted(deltas, reverse=True)
+
+    def test_cli_compare_prints_both_sides(self, tmp_path, capsys):
+        first = tmp_path / "a.jsonl"
+        second = tmp_path / "b.jsonl"
+        self._trace(first, [("slow", 3), ("both", 1)])
+        self._trace(second, [("both", 2)])
+        assert main(["telemetry", "--compare", str(first), str(second)]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        header = next(line for line in lines if line.startswith("span"))
+        for column in ("count_a", "total_s_a", "count_b", "total_s_b", "delta_s", "ratio"):
+            assert column in header
+        body = lines[lines.index(header) + 2 :]
+        assert body[0].startswith("slow") and body[1].startswith("both")
+
+    def test_cli_needs_exactly_one_input(self, tmp_path, capsys):
+        path = tmp_path / "a.jsonl"
+        self._trace(path, [("both", 1)])
+        assert main(["telemetry"]) == 2
+        assert main(["telemetry", str(path), "--compare", str(path), str(path)]) == 2
+        assert "--compare" in capsys.readouterr().err
 
 
 # --------------------------------------------------- cross-process aggregation
