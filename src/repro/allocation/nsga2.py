@@ -20,11 +20,15 @@ genome)`` uint8 matrix, the genetic operators act on whole matrices, and
 objective evaluation runs through the
 :class:`~repro.allocation.batch.BatchEvaluator` with a byte-fingerprint memo
 that skips chromosomes already evaluated earlier in the run.  Selection runs
-on the vectorized kernels of :mod:`~repro.allocation.pareto`.  This is the
-only production path; the readable references live in the tests:
-``tests/test_nsga2_vectorization.py`` and ``tests/test_selection_kernels.py``
-rerun this optimiser with every population scored row by row through the
-scalar :class:`~repro.allocation.objectives.AllocationEvaluator`, with the
+on the vectorized kernels of :mod:`~repro.allocation.pareto`: the sort works
+on the pool's distinct objective rows, and environmental selection asks it
+for fronts only up to the survivor count (``limit``), since the fronts past
+the cut never reach the next generation; ranking the population for the
+tournaments still sorts every row.  This is the only production path; the
+readable references live in the tests: ``tests/test_nsga2_vectorization.py``
+and ``tests/test_selection_kernels.py`` rerun this optimiser with every
+population scored row by row through the scalar
+:class:`~repro.allocation.objectives.AllocationEvaluator`, with the
 pure-Python sort/crowding oracles and with the per-pair operator loop, and
 assert the same search trajectory.
 
@@ -630,6 +634,20 @@ class Nsga2Optimizer:
         """
         return np.ascontiguousarray(objectives[:, self._objective_columns])
 
+    def _sort(
+        self, keyed: np.ndarray, limit: Optional[int] = None
+    ) -> List[List[int]]:
+        """Non-dominated fronts of ``keyed``, up to ``limit`` rows when given.
+
+        The ``engine.selection.sort`` span records the distinct rows the sort
+        ran on and the fronts it peeled.
+        """
+        with span("engine.selection.sort", rows=len(keyed)) as handle:
+            fronts = non_dominated_sort(keyed, limit=limit)
+            if handle is not None:
+                handle.attrs.update(distinct=fronts.distinct, fronts=len(fronts))
+        return fronts
+
     def _rank_and_distance(
         self, objectives: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -640,8 +658,7 @@ class Nsga2Optimizer:
             phase="selection",
         ):
             keyed = self._keyed(objectives)
-            with span("engine.selection.sort", rows=len(keyed)):
-                fronts = non_dominated_sort(keyed)
+            fronts = self._sort(keyed)
             rank = np.zeros(len(keyed), dtype=int)
             distance = np.zeros(len(keyed))
             with span("engine.selection.crowding", fronts=len(fronts)):
@@ -661,8 +678,7 @@ class Nsga2Optimizer:
         ):
             target = self._parameters.population_size
             keyed = self._keyed(objectives)
-            with span("engine.selection.sort", rows=len(keyed)):
-                fronts = non_dominated_sort(keyed)
+            fronts = self._sort(keyed, limit=target)
             selected: List[int] = []
             for front_indices in fronts:
                 if len(selected) + len(front_indices) <= target:

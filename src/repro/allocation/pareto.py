@@ -15,11 +15,29 @@ module use them too).
 The sort and the crowding distance are NumPy kernels: one pairwise ``<=``
 mask accumulated objective by objective with iterative front peeling, and a
 per-objective ``argsort`` with neighbour-gap slice differences.  They are the
-only production implementation.  :func:`non_dominated_sort_python` and
-:func:`crowding_distance_python` keep the readable, textbook O(N²·M) code as
-named references: they define the semantics, including the exact front
-*order* Deb's book-keeping produces and the exact floating-point summation
-order of the crowding distances.  The kernels reproduce them bit for bit —
+only production implementation.
+
+The sort peels fronts on the *distinct* objective rows.  A GA's merged pool
+repeats rows (every invalid chromosome is the all-``inf`` row, survivors meet
+their clones), and equal rows share every dominance relation, so they land in
+the same front; one ``lexsort`` plus a neighbour compare collapses them, the
+dominance matrix is built on the distinct rows only (only above its diagonal:
+in the lexicographic order the ``lexsort`` leaves them in, a row can dominate
+only a later one), and each peeled front is expanded back to all original
+rows equal to one of its members.  Deb's
+emitted order survives the expansion: a row's front position depends only on
+``(position of its last dominator in the expanded current front, index)``,
+and its dominators are exactly its distinct row's dominators, so the last
+dominator's position is computed once per distinct row, against the expanded
+front, and given to every copy, which then sort by their own indices.
+``limit`` stops the peel once the fronts emitted so far hold at least that
+many rows, which is all environmental selection reads to fill the next
+generation; without it every front is returned.
+
+:func:`non_dominated_sort_python` and :func:`crowding_distance_python` keep
+the readable, textbook O(N²·M) code as named references: they define the
+semantics, including the exact front *order* Deb's book-keeping produces and
+the exact floating-point summation order of the crowding distances.  The kernels reproduce them bit for bit —
 identical front index order, distances to 0 ulp — which the randomized and
 property-based suites in ``tests/test_selection_kernels.py`` pin down, and
 ``benchmarks/bench_selection_kernels.py`` times them against each other.
@@ -28,7 +46,16 @@ property-based suites in ``tests/test_selection_kernels.py`` pin down, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generic, Iterable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import (
+    Generic,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -37,6 +64,7 @@ __all__ = [
     "dominance_matrix",
     "non_dominated_sort",
     "non_dominated_sort_python",
+    "Fronts",
     "crowding_distance",
     "crowding_distance_python",
     "ParetoFront",
@@ -46,6 +74,10 @@ T = TypeVar("T")
 
 #: Finite stand-in for infinite objectives inside the crowding computation.
 _INF_CLAMP = 1.0e300
+
+#: Rows per band of the triangular dominance matrix :func:`non_dominated_sort`
+#: builds (bands of 64–256 rows time alike on 100–800-row pools).
+_SORT_BLOCK = 128
 
 #: Candidates per internal chunk of :meth:`ParetoFront.extend_array` (bounds
 #: the ``O(chunk²)`` comparison masks however large the batch is).
@@ -110,56 +142,133 @@ def _no_worse(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return result
 
 
-def non_dominated_sort(objectives: Sequence[Sequence[float]]) -> List[List[int]]:
+class Fronts(List[List[int]]):
+    """The fronts of a non-dominated sort: a plain list of index lists.
+
+    It also records ``distinct``, the number of distinct objective rows in
+    the sorted pool, which is the size of the dominance matrix the kernel
+    builds.  Selection reports it on its ``engine.selection.sort`` span.
+    """
+
+    distinct: int = 0
+
+
+def _distinct_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``matrix`` in lexicographic order and, per
+    original row, its distinct-row id.
+
+    One ``lexsort`` brings equal rows together and a neighbour compare marks
+    where each new row starts.  Rows are equal under ``==``, the comparison
+    dominance uses: ``-0.0`` joins ``0.0``, a row holding ``nan`` joins no
+    other row.
+    """
+    count = matrix.shape[0]
+    if matrix.shape[1] == 0:
+        return matrix[:1], np.zeros(count, dtype=np.intp)
+    order = np.lexsort(matrix.T)
+    ordered = matrix[order]
+    starts = np.ones(count, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(count, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
+def _sorted_dominance(rows: np.ndarray) -> np.ndarray:
+    """:func:`dominance_matrix` of distinct rows in lexicographic order.
+
+    A row no worse than another everywhere comes no later in lexicographic
+    order, so between distinct sorted rows "no worse" holds only above the
+    diagonal, where it means "dominates".  Only that triangle is compared,
+    one band of ``_SORT_BLOCK`` rows at a time.
+    """
+    count = rows.shape[0]
+    dominated = np.zeros((count, count), dtype=bool)
+    for start in range(0, count, _SORT_BLOCK):
+        stop = start + _SORT_BLOCK
+        dominated[start:stop, start:] = _no_worse(rows[start:stop], rows[start:])
+    np.fill_diagonal(dominated, False)
+    return dominated
+
+
+def non_dominated_sort(
+    objectives: Sequence[Sequence[float]], *, limit: Optional[int] = None
+) -> Fronts:
     """Fast non-dominated sort of Deb et al.
 
     ``objectives`` holds one vector per solution (all minimised): any
     sequence of sequences or an ``(N, M)`` array.  Returns the fronts, each a
     list of solution indices; the first front holds the non-dominated
-    solutions.
+    solutions.  With ``limit`` the sort stops once the fronts returned so far
+    hold at least ``limit`` rows: the result is the shortest prefix of the
+    full sort that holds ``limit`` rows (every front when no prefix does).
 
-    :func:`dominance_matrix` builds the full domination matrix, then fronts
-    are peeled iteratively: the solutions whose remaining domination count
-    reaches zero form the next front.  The emitted index order reproduces
-    Deb's book-keeping exactly — the oracle appends a solution the moment its
-    *last* dominator in the current front is processed, so each peeled front
-    is ordered by
+    Fronts are peeled on the distinct objective rows (see the module
+    docstring): their dominance matrix is built (in lexicographic row order
+    only its upper triangle can hold), the rows whose remaining domination
+    count reaches zero form the next front, and each front is expanded back
+    to every original row equal to one of its members.
+    The emitted order reproduces Deb's book-keeping exactly — the oracle
+    appends a solution the moment its *last* dominator in the current front
+    is processed, so each peeled front is ordered by
     ``(position of that last dominator within the current front, index)``.
     """
     matrix = np.asarray(objectives, dtype=float)
     count = matrix.shape[0]
+    fronts = Fronts()
     if count == 0:
-        return []
-    dominated = dominance_matrix(matrix)
-    counts = dominated.sum(axis=0)
-    current = np.flatnonzero(counts == 0)
-    fronts: List[List[int]] = [current.tolist()]
-    assigned = np.zeros(count, dtype=bool)
-    while True:
-        assigned[current] = True
-        released = dominated[current].sum(axis=0)
-        counts = counts - released
-        candidates = np.flatnonzero(~assigned & (counts == 0))
-        if candidates.size == 0:
-            break
-        blocks = dominated[np.ix_(current, candidates)]
-        last_dominator = (len(current) - 1) - np.argmax(blocks[::-1], axis=0)
-        order = np.lexsort((candidates, last_dominator))
-        current = candidates[order]
+        return fronts
+    if matrix.ndim != 2:
+        raise ValueError("the objective matrix must be two-dimensional")
+    rows, inverse = _distinct_rows(matrix)
+    fronts.distinct = len(rows)
+    dominated = _sorted_dominance(rows)
+    stop = count if limit is None else min(limit, count)
+    counts = dominated.sum(axis=0, dtype=np.int32)
+    assigned = np.zeros(len(rows), dtype=bool)
+    current_ids = np.flatnonzero(counts == 0)
+    member = np.zeros(len(rows), dtype=bool)
+    member[current_ids] = True
+    current = np.flatnonzero(member[inverse])
+    emitted = 0
+    while emitted < stop:
         fronts.append(current.tolist())
+        emitted += current.size
+        if emitted >= stop:
+            break
+        assigned[current_ids] = True
+        counts -= dominated[current_ids].sum(axis=0, dtype=np.int32)
+        candidate_ids = np.flatnonzero(~assigned & (counts == 0))
+        # Equal rows share every dominance relation, so the last dominator's
+        # position is computed once per distinct candidate, against the
+        # expanded current front, and handed to every copy of it.
+        blocks = dominated[np.ix_(inverse[current], candidate_ids)]
+        last_dominator = np.empty(len(rows), dtype=np.intp)
+        last_dominator[candidate_ids] = (current.size - 1) - np.argmax(
+            blocks[::-1], axis=0
+        )
+        member[:] = False
+        member[candidate_ids] = True
+        candidates = np.flatnonzero(member[inverse])
+        order = np.lexsort((candidates, last_dominator[inverse[candidates]]))
+        current = candidates[order]
+        current_ids = candidate_ids
     return fronts
 
 
 def non_dominated_sort_python(
-    objectives: Sequence[Sequence[float]],
-) -> List[List[int]]:
+    objectives: Sequence[Sequence[float]], *, limit: Optional[int] = None
+) -> Fronts:
     """Reference sort: Deb's book-keeping in plain Python, O(N²·M).
 
-    Defines the front order :func:`non_dominated_sort` reproduces.
+    Defines the front order :func:`non_dominated_sort` reproduces.  ``limit``
+    truncates the full result to its shortest prefix holding at least
+    ``limit`` rows, which defines the kernel's early stop.
     """
     count = len(objectives)
+    result = Fronts()
     if count == 0:
-        return []
+        return result
     dominated_by: List[List[int]] = [[] for _ in range(count)]
     domination_counter = [0] * count
     fronts: List[List[int]] = [[]]
@@ -186,7 +295,14 @@ def non_dominated_sort_python(
         current += 1
         fronts.append(next_front)
     fronts.pop()  # the last front is always empty
-    return fronts
+    emitted = 0
+    for front in fronts:
+        if limit is not None and emitted >= limit:
+            break
+        result.append(front)
+        emitted += len(front)
+    result.distinct = len({tuple(row) for row in objectives})
+    return result
 
 
 def crowding_distance(objectives: Sequence[Sequence[float]]) -> np.ndarray:

@@ -60,7 +60,6 @@ import json
 import os
 import signal
 import sys
-import threading
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -89,6 +88,7 @@ from .scenarios import (
 )
 from .simulation import SimulationVerifier
 from .store import ResultStore, Worker, WorkerPool, create_server
+from .store.worker import threaded_signal_handler
 from .telemetry import configure_tracing
 from .store.jobs import DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS, JOB_STATES, enqueue_submission
 from .topology import TOPOLOGIES, build_topology, topology_description, worst_case_link_loss_db
@@ -1067,7 +1067,7 @@ def _install_signal_handlers(callback: Callable[[], None]) -> Dict[int, Any]:
         if signum is None:
             continue
         try:
-            previous[signum] = signal.signal(signum, lambda *_: callback())
+            previous[signum] = signal.signal(signum, threaded_signal_handler(callback))
         except ValueError:  # pragma: no cover - not the main thread
             pass
     return previous
@@ -1097,17 +1097,9 @@ def _command_serve(args: argparse.Namespace) -> int:
         raise ReproError(
             f"cannot bind {args.host}:{args.port}: {error}"
         ) from None
-    stopping = threading.Event()
-
-    def request_shutdown() -> None:
-        if stopping.is_set():
-            return
-        stopping.set()
-        # shutdown() blocks until serve_forever returns, so it must not run
-        # on the thread that is inside serve_forever (the signal handler's).
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous = _install_signal_handlers(request_shutdown)
+    # The handler runs off the main thread, which is inside serve_forever:
+    # shutdown() blocks until serve_forever returns.
+    previous = _install_signal_handlers(server.shutdown)
     host, port = server.server_address[:2]
     print(
         f"serving result store {args.store} ({len(store)} result(s)) "

@@ -126,6 +126,14 @@ CREATE INDEX IF NOT EXISTS jobs_claim_idx
 """
 
 
+def _is_busy(error: sqlite3.Error) -> bool:
+    """True for ``SQLITE_BUSY``: another connection holds the lock."""
+    code = getattr(error, "sqlite_errorcode", None)
+    if code is not None:
+        return (code & 0xFF) == sqlite3.SQLITE_BUSY
+    return "database is locked" in str(error)
+
+
 class ResultStore:
     """Content-addressed SQLite store of scenario results (see module docs)."""
 
@@ -146,6 +154,11 @@ class ResultStore:
             self._initialise(timeout)
         except sqlite3.Error as error:
             self._connection.close()
+            if _is_busy(error):
+                raise StoreError(
+                    f"result store {self._path} stayed locked by another "
+                    f"connection for {timeout:g} s: {error}"
+                ) from None
             raise StoreError(
                 f"result store {self._path} is not a readable SQLite database: {error}"
             ) from None
@@ -153,9 +166,32 @@ class ResultStore:
             self._connection.close()
             raise
 
+    def _enable_wal(self, timeout: float) -> None:
+        """Put the database in WAL mode, waiting out a concurrent opener.
+
+        SQLite answers a journal-mode switch it cannot make at once with
+        ``SQLITE_BUSY`` without consulting the busy handler, so two processes
+        opening the same new file race here.  A database already in WAL mode
+        needs no switch; a busy switch is retried, with growing pauses, until
+        the pauses add up to ``timeout``.
+        """
+        waited, pause = 0.0, 0.001
+        while True:
+            try:
+                mode = self._connection.execute("PRAGMA journal_mode").fetchone()[0]
+                if str(mode).lower() != "wal":
+                    self._connection.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if not _is_busy(error) or waited >= timeout:
+                    raise
+            time.sleep(pause)
+            waited += pause
+            pause = min(2 * pause, 0.05)
+
     def _initialise(self, timeout: float) -> None:
         with self._lock, self._connection:
-            self._connection.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal(timeout)
             self._connection.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
             existing = {
                 row[0]

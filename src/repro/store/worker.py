@@ -25,7 +25,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..errors import JobError, ReproError, ScenarioError
 from ..telemetry import MetricsRegistry, get_registry, merge_snapshots, set_registry, span
@@ -36,6 +36,21 @@ if TYPE_CHECKING:
     from ..scenarios.study import ScenarioOutcome
 
 __all__ = ["Worker", "WorkerPool", "WorkerStats"]
+
+
+def threaded_signal_handler(callback: Callable[[], None]) -> Callable[..., None]:
+    """A signal handler that runs ``callback`` on a thread of its own.
+
+    Python runs a handler on the main thread between bytecodes, possibly
+    while that thread holds the lock ``callback`` needs: ``Event.set`` takes
+    the condition lock ``Event.wait`` holds around its timed wait, so setting
+    a stop event inline could deadlock the worker loop waiting on it.
+    """
+
+    def handler(*_: Any) -> None:
+        threading.Thread(target=callback, daemon=True).start()
+
+    return handler
 
 
 def default_worker_id() -> str:
@@ -303,7 +318,7 @@ def _pool_worker(
     for signame in ("SIGINT", "SIGTERM"):
         signum = getattr(signal, signame, None)
         if signum is not None:
-            signal.signal(signum, lambda *_: stop.set())
+            signal.signal(signum, threaded_signal_handler(stop.set))
 
     from .sqlite import ResultStore
 

@@ -38,6 +38,7 @@ from repro.store.jobs import (
     scenarios_from_submission,
 )
 from repro.store.sqlite import MIGRATABLE_SCHEMAS, STORE_SCHEMA
+from repro.store.worker import threaded_signal_handler
 
 
 def smoke_scenario(**changes) -> Scenario:
@@ -776,6 +777,17 @@ class TestJobsCli:
 
 # ---------------------------------------------------------- graceful shutdown
 class TestGracefulShutdown:
+    def test_signal_handler_does_not_need_the_interrupted_threads_locks(self):
+        """A stop signal can land while the worker loop is inside
+        ``Event.wait``, holding the event's condition lock; the handler must
+        not block on that lock in the interrupted thread."""
+        stop = threading.Event()
+        handler = threaded_signal_handler(stop.set)
+        with stop._cond:  # held by Event.wait around its timed wait
+            handler(signal.SIGINT, None)
+            assert not stop.is_set()
+        assert stop.wait(timeout=10)
+
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
     def test_work_exits_cleanly_on_signal(self, tmp_path, signum):
         store_path = str(tmp_path / "q.sqlite")

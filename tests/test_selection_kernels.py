@@ -76,6 +76,42 @@ def tied_objective_matrices(draw, max_rows: int = 14) -> np.ndarray:
     )
 
 
+@st.composite
+def duplicated_pools(draw, max_rows: int = 24) -> np.ndarray:
+    """Heavily duplicated ``(N, M)`` pools, M in 1..3, as a GA's merged pool is.
+
+    Every entry comes from a 3–5-symbol alphabet that may hold ``0.0`` next
+    to ``-0.0``, plus ``inf``; whole rows are sometimes all ``inf`` (invalid
+    chromosomes), so repeated, partly-infinite and infinite rows are common.
+    """
+    objectives = draw(st.integers(1, 3))
+    count = draw(st.integers(0, max_rows))
+    alphabet = draw(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, 2.0, 7.5, np.inf]),
+            min_size=3,
+            max_size=5,
+        )
+    )
+    entry = st.sampled_from(alphabet)
+    row = st.one_of(
+        st.tuples(*[entry] * objectives), st.just((np.inf,) * objectives)
+    )
+    rows = draw(st.lists(row, min_size=count, max_size=count))
+    return np.asarray(rows, dtype=float).reshape(count, objectives)
+
+
+def shortest_prefix(fronts, limit):
+    """The shortest prefix of ``fronts`` holding at least ``limit`` rows."""
+    prefix, held = [], 0
+    for front in fronts:
+        if held >= limit:
+            break
+        prefix.append(front)
+        held += len(front)
+    return prefix
+
+
 class TestDominanceMatrix:
     @given(tied_objective_matrices())
     def test_property_equals_pairwise_dominates_oracle(self, matrix):
@@ -129,6 +165,66 @@ class TestSortEquivalence:
         for engine in ("vectorized", "python"):
             with pytest.raises(TypeError):
                 non_dominated_sort([(1.0, 2.0)], engine=engine)
+
+
+class TestDistinctRowSort:
+    """The kernel peels fronts on distinct rows and can stop at a cut."""
+
+    @given(duplicated_pools())
+    def test_property_duplicated_pools_match_the_oracle(self, matrix):
+        fronts = non_dominated_sort(matrix)
+        oracle = non_dominated_sort_python(matrix)
+        # List equality pins both front membership and the emitted order.
+        assert fronts == oracle
+        assert sorted(index for front in fronts for index in front) == list(
+            range(len(matrix))
+        )
+        assert fronts.distinct == oracle.distinct
+
+    @given(duplicated_pools())
+    def test_property_limit_is_the_shortest_covering_prefix(self, matrix):
+        full = non_dominated_sort(matrix)
+        for limit in range(len(matrix) + 2):
+            cut = non_dominated_sort(matrix, limit=limit)
+            assert cut == shortest_prefix(full, limit)
+            assert cut == non_dominated_sort_python(matrix, limit=limit)
+            assert cut.distinct == full.distinct
+
+    def test_signed_zeros_are_one_row(self):
+        matrix = np.asarray([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        fronts = non_dominated_sort(matrix)
+        assert fronts == [[0, 1, 2], [3]] == non_dominated_sort_python(matrix)
+        assert fronts.distinct == 3
+
+    def test_copies_of_a_candidate_keep_index_order_behind_its_dominator(self):
+        """Deb's order is by the last dominator's position in the expanded
+        front, then index — not by distinct-row id."""
+        matrix = np.asarray(
+            [
+                [3.0, 3.0],
+                [1.0, 2.0],
+                [2.0, 1.0],
+                [4.0, 2.5],  # sorts before (3, 3) as a row, after it by index
+                [3.0, 3.0],
+                [1.0, 2.0],  # the copy that makes (1, 2) last in front one
+                [2.5, 1.5],
+                [1.5, 2.5],
+            ]
+        )
+        fronts = non_dominated_sort(matrix)
+        assert fronts == non_dominated_sort_python(matrix)
+        assert fronts == [[1, 2, 5], [6, 7], [0, 3, 4]]
+        assert fronts.distinct == 6
+
+    def test_zero_and_negative_limits_emit_nothing(self):
+        matrix = np.asarray([[1.0, 2.0], [2.0, 1.0]])
+        assert non_dominated_sort(matrix, limit=0) == []
+        assert non_dominated_sort(matrix, limit=-3) == []
+        assert non_dominated_sort_python(matrix, limit=0) == []
+
+    def test_limit_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            non_dominated_sort([(1.0, 2.0)], 1)
 
 
 class TestCrowdingEquivalence:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import sqlite3
 import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 import pytest
 
@@ -43,6 +44,18 @@ def _put_repeatedly(arguments: Tuple[str, Dict[str, Any], int]) -> int:
         for _ in range(count):
             store.put(result)
     return count
+
+
+def _open_each_fresh(paths: List[str], barrier: Any, failures: Any) -> None:
+    """Race child: open every path in lockstep with the other child."""
+    errors = []
+    for path in paths:
+        barrier.wait(timeout=60)
+        try:
+            ResultStore(path).close()
+        except StoreError as error:
+            errors.append(str(error))
+    failures.put(errors)
 
 
 # -------------------------------------------------------------------- protocol
@@ -179,6 +192,19 @@ class TestResultStore:
             writer.execute("ROLLBACK")
             writer.close()
 
+    def test_lock_held_past_the_timeout_is_reported_as_a_lock(self, tmp_path):
+        path = tmp_path / "held.sqlite"
+        holder = sqlite3.connect(path, isolation_level=None)
+        try:
+            holder.execute("BEGIN EXCLUSIVE")
+            with pytest.raises(StoreError, match="locked by another connection"):
+                ResultStore(path, timeout=0.2)
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        with ResultStore(path) as store:
+            assert store.schema == STORE_SCHEMA
+
     def test_corrupt_row_rejected_on_read(self, tmp_path, smoke_result):
         path = tmp_path / "s.sqlite"
         with ResultStore(path) as store:
@@ -202,6 +228,28 @@ class TestResultStore:
         with ResultStore(path) as store:
             assert len(store) == 1
             assert store.get(smoke_result.fingerprint) == smoke_result
+
+    def test_two_processes_opening_fresh_stores_both_succeed(self, tmp_path):
+        """Two processes opening the same new file at once both get a store
+        (the switch to WAL mode waits out the other opener)."""
+        paths = [str(tmp_path / f"fresh{index}.sqlite") for index in range(50)]
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        failures = context.Queue()
+        openers = [
+            context.Process(target=_open_each_fresh, args=(paths, barrier, failures))
+            for _ in range(2)
+        ]
+        for opener in openers:
+            opener.start()
+        reports = [failures.get(timeout=120) for _ in openers]
+        for opener in openers:
+            opener.join(timeout=30)
+            assert not opener.is_alive()
+        assert reports == [[], []]
+        for path in paths:
+            with ResultStore(path) as store:
+                assert store.schema == STORE_SCHEMA
 
     def test_gc_by_entry_count_and_age(self, tmp_path, smoke_result):
         results = [smoke_result] + [

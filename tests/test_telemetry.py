@@ -16,6 +16,7 @@ import urllib.request
 
 import pytest
 
+from repro.allocation import nsga2
 from repro.cli import main
 from repro.config import GeneticParameters
 from repro.scenarios import Scenario, execute_scenario
@@ -276,6 +277,37 @@ class TestPhaseAgreement:
         assert sum(
             r["duration"] for r in records if r["name"] == "engine.operator"
         ) == pytest.approx(result.operator_seconds, rel=1e-9)
+
+    def test_sort_span_reports_distinct_rows_and_fronts_peeled(
+        self, tmp_path, monkeypatch
+    ):
+        """``engine.selection.sort`` carries the dedup ratio and the cut."""
+        sort = nsga2.non_dominated_sort
+        full_sorts = []
+
+        def recording_sort(keyed, *, limit=None):
+            full_sorts.append((len(keyed), sort(keyed)))
+            return sort(keyed, limit=limit)
+
+        monkeypatch.setattr(nsga2, "non_dominated_sort", recording_sort)
+        path = tmp_path / "trace.jsonl"
+        configure_tracing(str(path))
+        execute_scenario(smoke_scenario())
+        reset_tracing()
+        spans = [
+            record["attrs"]
+            for record in load_trace(str(path))
+            if record["name"] == "engine.selection.sort"
+        ]
+        assert spans and len(spans) == len(full_sorts)
+        for attrs, (rows, full) in zip(spans, full_sorts):
+            assert attrs["rows"] == rows
+            assert attrs["distinct"] == full.distinct <= rows
+            assert 1 <= attrs["fronts"] <= len(full)
+        # Environmental selection stops at the cut before the last front.
+        assert any(
+            attrs["fronts"] < len(full) for attrs, (_, full) in zip(spans, full_sorts)
+        )
 
     def test_engine_counters_match_result_document(self):
         outcome = execute_scenario(smoke_scenario())
